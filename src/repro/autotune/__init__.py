@@ -6,8 +6,10 @@ trade as a whole instead of scoring one configuration at a time:
 
 * :mod:`repro.autotune.explore` expands the design grid (scheme ×
   codec × cleaning interval × ECC ways × write-buffer depth × policy
-  variant × scenario) and evaluates each point through the existing
-  sweep pool and campaign engine, with content-addressed point caching;
+  variant × scenario) and evaluates it in two stages: each distinct
+  simulation once through the sweep pool and its cell cache, then each
+  point's campaign, area and energy, with content-addressed point
+  caching;
 * :mod:`repro.autotune.pareto` computes the non-dominated set per
   workload under **CI-aware dominance** — a point only dominates when
   its Wilson interval clears the other's;
@@ -27,6 +29,7 @@ from repro.autotune.explore import (
     evaluate_point,
     expand_grid,
     explore,
+    point_cells,
     point_key,
 )
 from repro.autotune.pareto import (
@@ -53,6 +56,7 @@ __all__ = [
     "explore",
     "feasible",
     "pareto_front",
+    "point_cells",
     "point_key",
     "recommend",
     "resolve_objectives",

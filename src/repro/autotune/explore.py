@@ -3,25 +3,33 @@
 A **design point** is one coordinate of the paper's co-design space:
 scheme × codec × cleaning interval × shared-ECC ways × write-buffer
 depth × policy variant × fault scenario, measured on one benchmark.
-Evaluating a point runs
+Cleaning interval, ECC ways, write buffer and variant set the dirty
+residency; codec and scenario only change how that residency is
+scored.  Evaluation is therefore split in two stages:
 
-1. a reference-mode simulation (the sweep :class:`~repro.experiments.pool.Cell`
-   machinery, including ablation-variant L2s) for dirty residency,
-   write traffic and the hierarchy counters the energy model reads;
-2. a fixed-trials Monte Carlo campaign
+1. **Simulation.**  :func:`point_cells` maps a point to its sweep
+   :class:`~repro.experiments.pool.Cell` (benchmark, protection,
+   :class:`~repro.experiments.runner.RunConfig` with the write-buffer
+   geometry, variant), plus a ``mode="ipc"`` cell when IPC is an
+   objective.  :func:`explore` dedupes the cells of every batch by
+   :func:`~repro.experiments.pool.cell_key` and runs each distinct one
+   once through :meth:`~repro.experiments.pool.SweepEngine.run_cells`:
+   fanned out over ``--jobs`` and stored in the same content-addressed
+   cache ``repro run`` and the figure sweeps use.
+2. **Scoring.**  :func:`evaluate_point` is a pure function of
+   ``(task, simulation output)``: a fixed-trials Monte Carlo campaign
    (:class:`~repro.reliability.CampaignEngine`) under the measured
-   dirty fraction, the point's scenario pack and its ECC codec, for
-   FIT/MTTF with Wilson intervals;
-3. the area model (:mod:`repro.core.area`) at the FIT conversion's own
-   cache geometry, and optionally a CPU-mode run for IPC.
+   dirty fraction, the point's scenario and its codec, for FIT/MTTF
+   with Wilson intervals; the area model (:mod:`repro.core.area`) at
+   the FIT conversion's own cache geometry; and the energy model over
+   the run's counter snapshot.  :meth:`~repro.experiments.pool.SweepEngine.map_tasks`
+   fans scoring across worker processes, and its results are cached
+   per point under :func:`point_key`.
 
-:func:`evaluate_point` is a module-level pure function of its
-:class:`PointTask`, so :meth:`~repro.experiments.pool.SweepEngine.map_tasks`
-can fan points across worker processes — results are bit-identical at
-any ``--jobs`` value.  :func:`explore` adds point-level content
-addressing on top of the engine's :class:`~repro.experiments.pool.ResultCache`
-(the same store the figure sweeps share), which is what makes an
-interrupted grid resumable and a repeated grid a warm-cache no-op.
+A codec or scenario axis thus costs one campaign per value, not one
+simulation.  Results are bit-identical at any ``--jobs`` value, and
+the point cache is what makes an interrupted grid resumable and a
+repeated grid a warm-cache no-op.
 """
 
 from __future__ import annotations
@@ -44,15 +52,14 @@ from repro.autotune.pareto import ObjectiveSpec
 from repro.experiments.pool import (
     Cell,
     SweepEngine,
-    build_cell_hierarchy,
+    cell_key,
     code_version,
 )
 from repro.experiments.runner import (
+    RefRunOutput,
     RunConfig,
     SCALED_GEOMETRY,
     interval_label,
-    run_ipc,
-    run_refs_with_hierarchy,
 )
 
 #: Campaign schemes the grid may sweep.  ``non-uniform`` is the paper's
@@ -290,12 +297,19 @@ def _canonical(
     )
 
 
-# -- point evaluation (top level so worker processes can pickle it) -----------
+# -- stage 1: the simulations a point reads ----------------------------------
 
 
-def evaluate_point(task: PointTask) -> PointMetrics:
-    """Evaluate one design point end to end; pure function of the task."""
-    from repro.cache.energy import EnergyParams, estimate_energy
+def point_cells(task: PointTask) -> Tuple[Cell, Optional[Cell]]:
+    """The sweep cells one point's objectives are measured on.
+
+    The reference-mode cell gives dirty residency, write traffic and
+    the energy counters; the CPU-mode cell (only when the task measures
+    IPC) gives IPC.  Codec and scenario are not part of either cell:
+    they change how the measured residency is scored, not the
+    residency itself, so every codec × scenario combination of one
+    cache configuration shares these two simulations.
+    """
     from repro.core.protected_cache import ProtectionConfig
 
     point = task.point
@@ -305,64 +319,105 @@ def evaluate_point(task: PointTask) -> PointMetrics:
             cleaning_interval=point.interval,
             ecc_entries_per_set=point.ecc_entries,
         )
-    geometry = replace(
-        SCALED_GEOMETRY, write_buffer_entries=point.write_buffer
+    refs = Cell(
+        point.benchmark, protection, _run_config(task), variant=point.variant
     )
-    config = RunConfig(
+    if not task.measure_ipc:
+        return refs, None
+    return refs, replace(refs, mode="ipc", n_insts=task.insts)
+
+
+def _run_config(task: PointTask) -> RunConfig:
+    geometry = replace(
+        SCALED_GEOMETRY, write_buffer_entries=task.point.write_buffer
+    )
+    return RunConfig(
         geometry=geometry,
         n_refs=task.refs,
         warmup_refs=task.warmup,
         seed=task.seed,
     )
-    cell = Cell(
-        point.benchmark, protection, config, variant=point.variant
-    )
-    hierarchy = build_cell_hierarchy(cell)
-    out = run_refs_with_hierarchy(
-        point.benchmark, hierarchy, config, protection
-    )
-    dirty = min(max(out.dirty_fraction, 0.0), 1.0)
+
+
+def _simulate(
+    engine: SweepEngine,
+    cells: Sequence[Cell],
+    sims: Dict[str, Any],
+    version: str,
+) -> None:
+    """Run the cells not yet in ``sims`` (keyed by :func:`cell_key`),
+    each distinct one once, through the engine's pool and cache."""
+    todo: Dict[str, Cell] = {}
+    for cell in cells:
+        key = cell_key(cell, version)
+        if key not in sims:
+            todo.setdefault(key, cell)
+    for key, output in zip(todo, engine.run_cells(list(todo.values()))):
+        sims[key] = output
+
+
+# -- stage 2: scoring (top level so worker processes can pickle it) ----------
+
+
+def evaluate_point(
+    task: PointTask, sim: RefRunOutput, ipc: Optional[float] = None
+) -> PointMetrics:
+    """Score one design point from its simulation output.
+
+    A pure function of the task, the reference-mode output of its
+    :func:`point_cells` cell and (when measured) its IPC: the campaign
+    under the measured dirty fraction, the area model and the energy
+    model over the run's counters.  No cache is simulated here.
+    """
+    point = task.point
+    dirty = min(max(sim.dirty_fraction, 0.0), 1.0)
 
     estimate = _campaign_estimate(task, dirty)
     fit = estimate.avf.scaled(estimate.strike_fit)
 
-    area_kib = _point_area_kib(point, task.n_lines)
-    ecc_scale = _codec_check_bits(point.codec) / 8.0
-    if point.scheme == "uniform-ecc":
-        energy = estimate_energy(
-            hierarchy, "conventional", 1.0,
-            EnergyParams(ecc_per_word=0.06 * ecc_scale),
-        )
-    elif point.scheme == "parity-only":
-        # No ECC slot at all: zero its per-word energy instead of
-        # teaching the energy model a third scheme.
-        energy = estimate_energy(
-            hierarchy, "proposed", 0.0, EnergyParams(ecc_per_word=0.0)
-        )
-    else:
-        energy = estimate_energy(
-            hierarchy, "proposed", dirty,
-            EnergyParams(ecc_per_word=0.06 * ecc_scale),
-        )
-
-    ipc = None
-    if task.measure_ipc:
-        ipc = run_ipc(
-            point.benchmark, protection, config,
-            n_insts=task.insts, variant=point.variant,
-        ).ipc
-
     return PointMetrics(
         point=point,
-        area_kib=area_kib,
+        area_kib=_point_area_kib(point, task.n_lines),
         fit=fit,
         mttf_hours=estimate.mttf_hours,
-        energy_uj=energy.total_uj,
+        energy_uj=_point_energy_uj(task, sim, dirty),
         ipc=ipc,
-        traffic_pct=100.0 * out.writeback_fraction,
+        traffic_pct=100.0 * sim.writeback_fraction,
         dirty_pct=100.0 * dirty,
         trials=estimate.trials,
     )
+
+
+def _evaluate_item(item) -> PointMetrics:
+    """:meth:`SweepEngine.map_tasks` payload: ``(task, sim, ipc)``."""
+    return evaluate_point(*item)
+
+
+def _point_energy_uj(
+    task: PointTask, sim: RefRunOutput, dirty: float
+) -> float:
+    """Memory-system energy of the point's measured window."""
+    from repro.cache.energy import EnergyParams, energy_from_counters
+
+    point = task.point
+    ecc_scale = _codec_check_bits(point.codec) / 8.0
+    if point.scheme == "uniform-ecc":
+        scheme, dirty = "conventional", 1.0
+        params = EnergyParams(ecc_per_word=0.06 * ecc_scale)
+    elif point.scheme == "parity-only":
+        # No ECC slot at all: zero its per-word energy instead of
+        # teaching the energy model a third scheme.
+        scheme, dirty = "proposed", 0.0
+        params = EnergyParams(ecc_per_word=0.0)
+    else:
+        scheme = "proposed"
+        params = EnergyParams(ecc_per_word=0.06 * ecc_scale)
+    hierarchy = _run_config(task).geometry.hierarchy_config()
+    return energy_from_counters(
+        sim.snapshot, scheme, dirty, params,
+        l1_line_bytes=hierarchy.l1d.line_bytes,
+        l2_line_bytes=hierarchy.l2.line_bytes,
+    ).total_uj
 
 
 def _campaign_estimate(task: PointTask, dirty_fraction: float):
@@ -446,8 +501,10 @@ def explore(
     Results come back in task order whatever the engine's ``jobs``
     setting.  With a caching engine each point is content-addressed via
     :func:`point_key`, so re-running a grid (or resuming an interrupted
-    one) only executes the missing points.  ``checkpoint_dir`` gives
-    each *executed* point a private campaign checkpoint
+    one) only executes the missing points.  Their simulations run once
+    per distinct cell across the whole call, through the engine's cell
+    cache, before each batch is scored.  ``checkpoint_dir`` gives each
+    *executed* point a private campaign checkpoint
     (``<dir>/<key>.jsonl``) so even a mid-point interruption resumes at
     shard granularity.  ``should_abort`` is polled between batches;
     aborting raises :class:`~repro.reliability.CampaignAborted` with
@@ -484,6 +541,8 @@ def explore(
     # busy, small enough that aborts and progress stay responsive.
     batch = max(1, eng.jobs) * 2
     done = cached
+    #: Simulation outputs by cell key, shared by every batch of this call.
+    sims: Dict[str, Any] = {}
     for start in range(0, len(pending), batch):
         if should_abort is not None and should_abort():
             raise CampaignAborted("autotune aborted")
@@ -501,7 +560,22 @@ def explore(
                     ),
                 )
             batch_tasks.append(task)
-        results = eng.map_tasks(evaluate_point, batch_tasks, phase="autotune")
+        cells = [point_cells(task) for task in batch_tasks]
+        _simulate(
+            eng,
+            [cell for pair in cells for cell in pair if cell is not None],
+            sims,
+            version,
+        )
+        items = [
+            (
+                task,
+                sims[cell_key(refs, version)],
+                None if ipc is None else sims[cell_key(ipc, version)].ipc,
+            )
+            for task, (refs, ipc) in zip(batch_tasks, cells)
+        ]
+        results = eng.map_tasks(_evaluate_item, items, phase="autotune")
         for i, metrics in zip(indices, results):
             outputs[i] = metrics
             eng_cache_put(eng, point_key(tasks[i], version), metrics)
@@ -531,5 +605,6 @@ __all__ = [
     "evaluate_point",
     "expand_grid",
     "explore",
+    "point_cells",
     "point_key",
 ]

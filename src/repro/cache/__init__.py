@@ -19,6 +19,7 @@ from repro.cache.energy import (
     EnergyBreakdown,
     EnergyParams,
     compare_schemes,
+    energy_from_counters,
     estimate_energy,
 )
 from repro.cache.hierarchy import (
@@ -50,6 +51,7 @@ __all__ = [
     "EnergyBreakdown",
     "EnergyParams",
     "compare_schemes",
+    "energy_from_counters",
     "estimate_energy",
     "FifoPolicy",
     "HierarchyConfig",

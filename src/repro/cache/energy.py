@@ -15,12 +15,16 @@ run's event counters:
 Default coefficients are CACTI-class ballpark values for the paper's
 era (130–180 nm, nanojoules); they are parameters, not claims — the
 *relative* comparison between schemes is the point.
+
+:func:`energy_from_counters` is the one formula; it reads a hierarchy
+snapshot, so cached simulation results can be scored as well as live
+hierarchies (:func:`estimate_energy` is the live-hierarchy adapter).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Mapping
 
 from repro.cache.hierarchy import MemoryHierarchy
 
@@ -60,31 +64,36 @@ class EnergyBreakdown:
         return out
 
 
-def _common_components(
-    hierarchy: MemoryHierarchy, params: EnergyParams
-) -> Dict[str, float]:
-    """Array, bus and DRAM energy — identical formulas for both schemes."""
-    l1_accesses = (
-        hierarchy.l1i.stats.accesses + hierarchy.l1d.stats.accesses
-    )
-    l2_accesses = hierarchy.l2.stats.accesses
-    mem = hierarchy.memory.stats
-    return {
-        "L1 arrays": l1_accesses * params.l1_access,
-        "L2 array": l2_accesses * params.l2_access,
-        "off-chip bus": (mem.bytes_read + mem.bytes_written)
-        * params.bus_per_byte,
-        "DRAM": mem.transactions * params.dram_access,
-    }
-
-
 def estimate_energy(
     hierarchy: MemoryHierarchy,
     scheme: str,
     dirty_fraction: float = 0.5,
     params: EnergyParams = EnergyParams(),
 ) -> EnergyBreakdown:
+    """:func:`energy_from_counters` over a live hierarchy's counters."""
+    return energy_from_counters(
+        hierarchy.snapshot(), scheme, dirty_fraction, params,
+        l1_line_bytes=hierarchy.l1d.config.line_bytes,
+        l2_line_bytes=hierarchy.l2.config.line_bytes,
+    )
+
+
+def energy_from_counters(
+    counters: Mapping[str, Mapping[str, float]],
+    scheme: str,
+    dirty_fraction: float = 0.5,
+    params: EnergyParams = EnergyParams(),
+    *,
+    l1_line_bytes: int,
+    l2_line_bytes: int,
+) -> EnergyBreakdown:
     """Estimate a run's memory-system energy under a protection scheme.
+
+    ``counters`` is a hierarchy snapshot
+    (:meth:`~repro.cache.hierarchy.MemoryHierarchy.snapshot`, also
+    carried by every reference-mode run output), so a finished or
+    cached simulation is scored without its hierarchy.  The line sizes
+    are the L1D's and the L2's; coding logic is charged per 64-bit word.
 
     ``scheme`` is ``"conventional"`` (SECDED checked/encoded on every L2
     access) or ``"proposed"`` (parity on every access; ECC work only for
@@ -100,23 +109,33 @@ def estimate_energy(
     if not 0.0 <= dirty_fraction <= 1.0:
         raise ValueError("dirty_fraction must be in [0, 1]")
 
-    words_per_l2_line = hierarchy.l2.config.line_bytes * 8 // 64
-    words_per_l1_line = hierarchy.l1d.config.line_bytes * 8 // 64
-    l2 = hierarchy.l2.stats
+    words_per_l2_line = l2_line_bytes * 8 // 64
+    words_per_l1_line = l1_line_bytes * 8 // 64
+    l2 = counters["l2"]
+    mem = counters["memory"]
 
-    components = _common_components(hierarchy, params)
+    l1_accesses = _accesses(counters["l1i"]) + _accesses(counters["l1d"])
+    components = {
+        "L1 arrays": l1_accesses * params.l1_access,
+        "L2 array": _accesses(l2) * params.l2_access,
+        "off-chip bus": (mem["bytes_read"] + mem["bytes_written"])
+        * params.bus_per_byte,
+        "DRAM": (mem["reads"] + mem["writes"]) * params.dram_access,
+        "L1 parity logic": (
+            l1_accesses * words_per_l1_line * params.parity_per_word
+        ),
+    }
 
-    l1_accesses = (
-        hierarchy.l1i.stats.accesses + hierarchy.l1d.stats.accesses
+    l2_reads = l2["read_hits"] + l2["read_misses"]
+    l2_writes = l2["write_hits"] + l2["write_misses"]
+    writebacks = (
+        l2["writebacks_replacement"]
+        + l2["writebacks_cleaning"]
+        + l2["writebacks_ecc_eviction"]
+        + l2["writebacks_eager"]
     )
-    components["L1 parity logic"] = (
-        l1_accesses * words_per_l1_line * params.parity_per_word
-    )
-
-    l2_reads = l2.read_hits + l2.read_misses
-    l2_writes = l2.write_hits + l2.write_misses
     #: Every fill and write-back also passes the coding logic.
-    l2_moves = l2.fills + l2.writebacks_total
+    l2_moves = l2["fills"] + writebacks
 
     if scheme == "conventional":
         checked = (l2_reads + l2_writes + l2_moves) * words_per_l2_line
@@ -131,13 +150,21 @@ def estimate_energy(
         # silent-write variant elided never reach the encoder, so their
         # word count comes straight back off (0 on the nominal path).
         ecc_words = (
-            (l2_writes - l2.elided_ecc_updates) * words_per_l2_line
+            (l2_writes - l2["elided_ecc_updates"]) * words_per_l2_line
             + l2_reads * dirty_fraction * words_per_l2_line
-            + l2.writebacks_total * words_per_l2_line
+            + writebacks * words_per_l2_line
         )
         components["L2 ECC logic"] = max(0.0, ecc_words) * params.ecc_per_word
 
     return EnergyBreakdown(scheme=scheme, components=components)
+
+
+def _accesses(cache: Mapping[str, float]) -> float:
+    """Demand accesses of one cache's snapshot group."""
+    return (
+        cache["read_hits"] + cache["read_misses"]
+        + cache["write_hits"] + cache["write_misses"]
+    )
 
 
 def compare_schemes(

@@ -585,7 +585,6 @@ def cmd_autotune(args) -> int:
     if args.format == "csv":
         return _emit_front_csv(response)
     _print_fronts(response)
-    _print_sweep_stats(engine)
     return 0
 
 
@@ -628,7 +627,6 @@ def cmd_recommend(args) -> int:
     ))
     print()
     _print_fronts(response.autotune)
-    _print_sweep_stats(engine)
     return 0
 
 

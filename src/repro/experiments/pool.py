@@ -32,6 +32,7 @@ import json
 import os
 import pickle
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -185,12 +186,26 @@ class ResultCache:
             return None
 
     def put(self, key: str, value: Any) -> None:
+        """Store ``value`` under ``key``, atomically.
+
+        The pickle goes to a temp file unique to this call, in the
+        entry's own directory, and is then renamed over the entry.  Two
+        processes sharing one cache directory may both write a key; a
+        reader sees either nothing or one writer's whole value, never a
+        mix, because each writer renames only its own complete file.
+        """
         path = self.path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        with tmp.open("wb") as fh:
-            pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)  # atomic: concurrent writers can't tear
+        fd, tmp = tempfile.mkstemp(
+            dir=path.parent, prefix=f"{key}.", suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            os.replace(tmp, path)
+        except BaseException:
+            Path(tmp).unlink(missing_ok=True)
+            raise
 
     def __len__(self) -> int:
         return sum(1 for _ in self.directory.glob("*/*.pkl"))
@@ -207,29 +222,17 @@ class ResultCache:
 # -- cell execution (top level so worker processes can pickle it) -------------
 
 def execute_cell(cell: Cell) -> Any:
-    """Run one cell to completion; pure function of the cell."""
+    """Run one cell to completion; pure function of the cell.
+
+    A reference-mode cell runs against the variant registry's L2
+    (:func:`repro.core.policy.build_variant_l2`); the import is local to
+    avoid an import cycle through the registered builders.
+    """
     if cell.mode == "ipc":
         return run_ipc(
             cell.benchmark, cell.protection, cell.config,
             n_insts=cell.n_insts, variant=cell.variant,
         )
-    hierarchy = build_cell_hierarchy(cell)
-    return run_refs_with_hierarchy(
-        cell.benchmark, hierarchy, cell.config, cell.protection
-    )
-
-
-def build_cell_hierarchy(cell: Cell):
-    """The :class:`~repro.cache.hierarchy.MemoryHierarchy` a reference-mode
-    cell runs against, for any variant.
-
-    Split out of :func:`execute_cell` so callers that need the hierarchy
-    *after* the run — the autotuner's energy accounting reads its event
-    counters — can drive :func:`run_refs_with_hierarchy` themselves.
-    The L2 under test comes from the variant registry
-    (:func:`repro.core.policy.build_variant_l2`); the import is local to
-    avoid an import cycle through the registered builders.
-    """
     from repro.cache.hierarchy import MemoryHierarchy
     from repro.core.policy import build_variant_l2
 
@@ -237,7 +240,10 @@ def build_cell_hierarchy(cell: Cell):
     l2 = build_variant_l2(
         cell.variant, geometry, cell.protection, seed=cell.config.seed
     )
-    return MemoryHierarchy(config=geometry.hierarchy_config(), l2=l2)
+    hierarchy = MemoryHierarchy(config=geometry.hierarchy_config(), l2=l2)
+    return run_refs_with_hierarchy(
+        cell.benchmark, hierarchy, cell.config, cell.protection
+    )
 
 
 def _execute_indexed(item):
@@ -555,7 +561,6 @@ __all__ = [
     "ResultCache",
     "SweepEngine",
     "SweepStats",
-    "build_cell_hierarchy",
     "cell_key",
     "code_version",
     "default_cache_dir",

@@ -37,6 +37,9 @@ import uuid
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+#: How long any fabric operation waits on another replica's lock.
+_BUSY_TIMEOUT_S = 30.0
+
 #: Shard lifecycle inside the fabric store.
 SHARD_STATES = ("pending", "leased", "done")
 
@@ -100,16 +103,39 @@ class FabricStore:
         self.path = self.data_dir / "fabric.db"
         self.lease_duration = lease_duration
         self.worker_timeout = worker_timeout
+        self._enable_wal()
         with self._connect() as conn:
             conn.executescript(_SCHEMA)
+
+    def _enable_wal(self) -> None:
+        """Put the database file in WAL mode, once per store.
+
+        WAL is a persistent property of the file, so connections need
+        not ask for it again.  Switching needs an exclusive lock, and
+        when connections race for it SQLite may fail one at once
+        instead of waiting (to avoid a deadlock), so replicas opening a
+        fresh data dir at the same moment can see ``database is
+        locked`` here; they retry until the busy timeout runs out.
+        """
+        deadline = time.monotonic() + _BUSY_TIMEOUT_S
+        while True:
+            conn = sqlite3.connect(str(self.path), timeout=_BUSY_TIMEOUT_S)
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as err:
+                if "locked" not in str(err) or time.monotonic() >= deadline:
+                    raise
+            finally:
+                conn.close()
+            time.sleep(0.01)
 
     def _connect(self) -> sqlite3.Connection:
         # A connection per operation: sqlite3 connections are not
         # thread-safe, and WAL + busy_timeout make short transactions
         # from many replicas cheap enough that pooling isn't worth the
         # locking it would reintroduce.
-        conn = sqlite3.connect(str(self.path), timeout=30.0)
-        conn.execute("PRAGMA journal_mode=WAL")
+        conn = sqlite3.connect(str(self.path), timeout=_BUSY_TIMEOUT_S)
         conn.execute("PRAGMA synchronous=NORMAL")
         conn.execute("PRAGMA busy_timeout=30000")
         return conn

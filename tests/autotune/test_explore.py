@@ -228,3 +228,76 @@ class TestExplore:
         )
         assert executed + cached == len(tasks)
         assert cached >= 1  # the aborted run's first batch was kept
+
+
+class TestSimulationStage:
+    """Each distinct simulation runs once per grid, through the engine's
+    cell cache; codec and scenario axes only add campaigns."""
+
+    #: The swim grid of the ``autotune-grid`` benchmark at unit size:
+    #: 4 uniform-ecc + 8 non-uniform points over 3 distinct caches.
+    GRID = dict(
+        benchmarks=("swim",),
+        schemes=("uniform-ecc", "non-uniform"),
+        codecs=("secded", "dected"),
+        scenarios=("nominal", "low-voltage"),
+        objectives=("area", "fit"),
+        trials=200,
+        trials_per_shard=100,
+        refs=3000,
+        warmup=1000,
+    )
+
+    def test_twelve_points_execute_three_cells(self):
+        from repro import api
+
+        engine = SweepEngine(jobs=1)
+        response = api.autotune(
+            api.AutotuneRequest(**self.GRID), engine=engine
+        )
+        assert len(response.points) == 12
+        assert response.executed == 12
+        assert engine.stats.executed == 3
+        assert engine.stats.cached == 0
+
+    def test_grid_matches_points_evaluated_one_at_a_time(self):
+        from repro import api
+
+        grid = api.autotune(
+            api.AutotuneRequest(**self.GRID), engine=SweepEngine(jobs=1)
+        )
+        for doc in grid.points:
+            alone = api.autotune(
+                api.AutotuneRequest(**{
+                    **self.GRID,
+                    "schemes": (doc["scheme"],),
+                    "codecs": (doc["codec"],),
+                    "intervals": (doc["interval"] or 262144,),
+                    "scenarios": (doc["scenario"],),
+                }),
+                engine=SweepEngine(jobs=1),
+            )
+            (single,) = alone.points
+            # ``on_front`` is relative to the grid a point sits in.
+            assert {**single, "on_front": None} == {
+                **doc, "on_front": None
+            }
+
+    def test_cell_cached_by_an_earlier_run_is_served(self, tmp_path):
+        from repro import api
+        from repro.experiments.runner import RunConfig
+
+        cache = ResultCache(str(tmp_path))
+        earlier = SweepEngine(jobs=1, cache=cache)
+        earlier.run_refs(
+            "swim", None,
+            RunConfig(n_refs=self.GRID["refs"],
+                      warmup_refs=self.GRID["warmup"], seed=0),
+        )
+        assert earlier.stats.executed == 1
+
+        engine = SweepEngine(jobs=1, cache=cache)
+        api.autotune(api.AutotuneRequest(**self.GRID), engine=engine)
+        assert (engine.stats.executed, engine.stats.cached) == (2, 1)
+        (served,) = [r for r in engine.stats.records if r.cached]
+        assert served.label == "swim:org"

@@ -87,6 +87,50 @@ class TestResultCache:
         assert cache.clear() == 2
         assert len(cache) == 0
 
+    def test_concurrent_writers_never_tear_an_entry(self, tmp_path):
+        """Two processes ``put`` one key in a loop while this one reads:
+        every read is a miss or one writer's whole value, both writers
+        finish cleanly, and no temp file is left behind."""
+        import multiprocessing
+        import pickle
+
+        key = "5a" * 32
+        ctx = multiprocessing.get_context("fork")
+        writers = [
+            ctx.Process(target=_put_loop, args=(str(tmp_path), key, w))
+            for w in (1, 2)
+        ]
+        for proc in writers:
+            proc.start()
+        cache = ResultCache(tmp_path)
+        while any(proc.is_alive() for proc in writers):
+            try:
+                blob = cache.path(key).read_bytes()
+            except FileNotFoundError:
+                continue
+            _assert_whole(pickle.loads(blob))
+            _assert_whole(cache.get(key))
+        for proc in writers:
+            proc.join()
+        assert [proc.exitcode for proc in writers] == [0, 0]
+        _assert_whole(cache.get(key))
+        assert list(tmp_path.glob("*/*.tmp")) == []
+
+
+#: Large enough that one pickle takes several write calls.
+_PAYLOAD_BYTES = 1 << 18
+
+
+def _put_loop(directory, key, writer, rounds=150):
+    cache = ResultCache(directory)
+    for i in range(rounds):
+        cache.put(key, (writer, i, bytes([writer]) * _PAYLOAD_BYTES))
+
+
+def _assert_whole(value):
+    writer, _, payload = value
+    assert payload == bytes([writer]) * _PAYLOAD_BYTES
+
 
 class TestEngineSequential:
     def test_matches_direct_run_refs(self):

@@ -97,6 +97,52 @@ class TestFabricStore:
         assert leased == [("s", 0)]  # back to pending, not stuck leased
 
 
+class TestConcurrentStartup:
+    def test_four_processes_open_one_fresh_store(self, tmp_path):
+        """Replicas started together on a fresh data dir all come up.
+
+        Switching a new database to WAL needs an exclusive lock that
+        SQLite does not wait for; a lost race used to surface as
+        ``database is locked``.  One round loses rarely, so several
+        fresh directories are raced.
+        """
+        import multiprocessing
+        import sqlite3
+
+        ctx = multiprocessing.get_context("fork")
+        for round_ in range(30):
+            data_dir = tmp_path / f"round{round_}"
+            barrier = ctx.Barrier(4)
+            results = ctx.Queue()
+            procs = [
+                ctx.Process(
+                    target=_open_store, args=(data_dir, barrier, results)
+                )
+                for _ in range(4)
+            ]
+            for proc in procs:
+                proc.start()
+            outcomes = [results.get(timeout=60) for _ in procs]
+            for proc in procs:
+                proc.join()
+            assert outcomes == ["ok"] * 4, (round_, outcomes)
+            conn = sqlite3.connect(str(data_dir / "fabric.db"))
+            try:
+                mode = conn.execute("PRAGMA journal_mode").fetchone()[0]
+            finally:
+                conn.close()
+            assert mode == "wal"
+
+
+def _open_store(data_dir, barrier, results):
+    barrier.wait()
+    try:
+        FabricStore(data_dir)
+        results.put("ok")
+    except Exception as err:  # reported to the parent, not raised
+        results.put(repr(err))
+
+
 class TestTwoReplicaCampaign:
     def test_disjoint_shards_merge_bit_identical(self, tmp_path):
         """Two stores on one data dir split one campaign's shards;

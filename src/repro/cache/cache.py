@@ -1,7 +1,8 @@
 """Generic set-associative cache with write-back / write-through policies.
 
 This is the substrate the paper's protected L2 extends: the base class
-exposes hooks (``_on_write_line``, ``_evict_way``, ``advance``) that
+exposes hooks (``_on_write_line``, ``_evict_way``, ``advance`` with
+``next_advance_cycle``) that
 :class:`repro.core.protected_cache.ProtectedL2` overrides to add the
 written-bit semantics, cleaning sweeps and shared-ECC-array bookkeeping.
 """
@@ -9,7 +10,8 @@ written-bit semantics, cleaning sweeps and shared-ECC-array bookkeeping.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.cache.line import CacheLine
@@ -49,7 +51,6 @@ class Writeback:
     bytes: Optional[int] = None
 
 
-@dataclass
 class AccessResult:
     """Outcome of one cache access.
 
@@ -57,14 +58,44 @@ class AccessResult:
     on hits and on no-allocate write misses).  ``writebacks`` lists every
     block pushed down to the next level by this access, including any
     forced by the protected cache's ECC-array eviction.
+
+    One is built per simulated access, so this is a ``__slots__`` class
+    with the keyword constructor, equality and repr a dataclass would
+    give it (``dataclass(slots=True)`` needs Python 3.10).
     """
 
-    hit: bool
-    is_write: bool
-    fill_addr: Optional[int] = None
-    writebacks: List[Writeback] = field(default_factory=list)
-    #: True for write-through forwarding of the written data.
-    wrote_through: bool = False
+    __slots__ = ("hit", "is_write", "fill_addr", "writebacks", "wrote_through")
+
+    def __init__(
+        self,
+        hit: bool,
+        is_write: bool,
+        fill_addr: Optional[int] = None,
+        writebacks: Optional[List[Writeback]] = None,
+        wrote_through: bool = False,
+    ) -> None:
+        self.hit = hit
+        self.is_write = is_write
+        self.fill_addr = fill_addr
+        self.writebacks: List[Writeback] = (
+            [] if writebacks is None else writebacks
+        )
+        #: True for write-through forwarding of the written data.
+        self.wrote_through = wrote_through
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self) -> str:
+        fields_ = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__
+        )
+        return f"{self.__class__.__qualname__}({fields_})"
 
 
 def _is_pow2(x: int) -> bool:
@@ -209,9 +240,20 @@ class SetAssociativeCache:
     def advance(self, cycle: int) -> List[Writeback]:
         """Hook: run background activity (cleaning sweeps) up to ``cycle``.
 
-        The base cache has none; the protected L2 overrides this.
+        The base cache has none; the protected L2 overrides this.  A
+        subclass that overrides ``advance`` overrides
+        :meth:`next_advance_cycle` with it.
         """
         return []
+
+    def next_advance_cycle(self) -> float:
+        """Earliest cycle at which :meth:`advance` has work to do.
+
+        :class:`~repro.cache.hierarchy.MemoryHierarchy` calls
+        ``advance`` only once its clock reaches this cycle.  The base
+        cache has no background work, so never (``inf``).
+        """
+        return math.inf
 
     def access(self, addr: int, is_write: bool, cycle: int) -> AccessResult:
         """Perform one read or write at ``cycle``; cycles must not decrease."""

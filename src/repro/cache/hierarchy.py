@@ -164,6 +164,10 @@ class MemoryHierarchy:
         #: integration, cleaning sweeps, bus occupancy) needs time to
         #: only move forward.
         self._clock = 0
+        #: Clock value at which :meth:`_advance_l2` next has work.
+        self._next_background = min(
+            cache.next_advance_cycle() for cache in self.levels
+        )
         #: Every stats holder in the system, one snapshot/reset boundary.
         self.registry = MetricsRegistry()
         self._register_telemetry()
@@ -203,28 +207,29 @@ class MemoryHierarchy:
         """Zero every counter at ``cycle``, keeping all cache contents."""
         self.registry.reset(cycle)
 
-    def _mono(self, cycle: int) -> int:
-        if cycle > self._clock:
-            self._clock = cycle
-        return self._clock
-
     @property
     def clock(self) -> int:
         """Latest cycle the hierarchy has seen."""
         return self._clock
 
     # -- reference entry points ---------------------------------------------
-
-    def _block(self, addr: int) -> int:
-        return addr >> self._block_shift
+    #
+    # Hot loop: every reference clamps the cycle to the monotonic clock
+    # inline, computes its block once, and runs background work only
+    # when a level has some due (``_next_background``).
 
     def ifetch(self, addr: int, cycle: int) -> int:
         """Instruction fetch; returns latency in cycles."""
-        cycle = self._mono(cycle)
+        if cycle > self._clock:
+            self._clock = cycle
+        else:
+            cycle = self._clock
         self.stats.ifetches += 1
-        self._advance_l2(cycle)
-        res = self.l1i.access(addr, is_write=False, cycle=cycle)
-        pending = self.l1i_mshr.pending_ready(self._block(addr), cycle)
+        if cycle >= self._next_background:
+            self._advance_l2(cycle)
+        res = self.l1i.access(addr, False, cycle)
+        block = addr >> self._block_shift
+        pending = self.l1i_mshr.pending_ready(block, cycle)
         if pending is not None:
             # The block's fill is still in flight: wait for it.
             return self.l1i.config.hit_latency + (pending - cycle)
@@ -232,16 +237,21 @@ class MemoryHierarchy:
             return self.l1i.config.hit_latency
         below = self._l2_read(addr, cycle)
         latency = self.l1i.config.hit_latency + below
-        self.l1i_mshr.allocate(self._block(addr), cycle + latency, cycle)
+        self.l1i_mshr.allocate(block, cycle + latency, cycle)
         return latency
 
     def load(self, addr: int, cycle: int) -> int:
         """Data load; returns latency in cycles."""
-        cycle = self._mono(cycle)
+        if cycle > self._clock:
+            self._clock = cycle
+        else:
+            cycle = self._clock
         self.stats.loads += 1
-        self._advance_l2(cycle)
-        res = self.l1d.access(addr, is_write=False, cycle=cycle)
-        pending = self.l1d_mshr.pending_ready(self._block(addr), cycle)
+        if cycle >= self._next_background:
+            self._advance_l2(cycle)
+        res = self.l1d.access(addr, False, cycle)
+        block = addr >> self._block_shift
+        pending = self.l1d_mshr.pending_ready(block, cycle)
         if pending is not None:
             # Merge with the in-flight miss (MSHR semantics): the line
             # looks resident functionally but its data arrives later.
@@ -253,15 +263,19 @@ class MemoryHierarchy:
             return self.l1d.config.hit_latency + 1
         below = self._l2_read(addr, cycle)
         latency = self.l1d.config.hit_latency + below
-        self.l1d_mshr.allocate(self._block(addr), cycle + latency, cycle)
+        self.l1d_mshr.allocate(block, cycle + latency, cycle)
         return latency
 
     def store(self, addr: int, cycle: int) -> int:
         """Data store; write-through L1 into the coalescing buffer."""
-        cycle = self._mono(cycle)
+        if cycle > self._clock:
+            self._clock = cycle
+        else:
+            cycle = self._clock
         self.stats.stores += 1
-        self._advance_l2(cycle)
-        self.l1d.access(addr, is_write=True, cycle=cycle)
+        if cycle >= self._next_background:
+            self._advance_l2(cycle)
+        self.l1d.access(addr, True, cycle)
         drained = self.write_buffer.push(addr)
         if drained is not None:
             self._l2_write(drained, cycle)
@@ -279,11 +293,19 @@ class MemoryHierarchy:
         """Run background work (cleaning sweeps) at every unified level.
 
         Each level's cleaning write-backs are pushed to the level below
-        it (the next cache, or memory for the last level).
+        it (the next cache, or memory for the last level).  Afterwards
+        the next call is scheduled for the soonest
+        :meth:`~repro.cache.cache.SetAssociativeCache.next_advance_cycle`
+        of any level: until then every ``advance`` would find nothing
+        due, so skipping it changes no state.
         """
-        for idx, cache in enumerate(self.levels):
+        levels = self.levels
+        for idx, cache in enumerate(levels):
             for wb in cache.advance(cycle):
                 self._push_down(wb, cycle, idx + 1)
+        self._next_background = min(
+            cache.next_advance_cycle() for cache in levels
+        )
 
     def _push_down(self, wb, cycle: int, level: int) -> None:
         """Deliver a write-back to ``level`` (memory past the last cache).

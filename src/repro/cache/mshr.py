@@ -13,6 +13,7 @@ block with a pending fill observes the fill's completion time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -45,6 +46,9 @@ class MshrFile:
             raise ValueError("MSHR file needs at least one entry")
         self.entries = entries
         self._pending: Dict[int, int] = {}
+        #: Lower bound on the soonest pending completion: nothing can
+        #: have completed before it, so pruning waits for it.
+        self._earliest: float = math.inf
         self.stats = MshrStats()
 
     def as_dict(self) -> Dict[str, int]:
@@ -61,11 +65,13 @@ class MshrFile:
 
     def _prune(self, cycle: int) -> None:
         """Drop entries whose fills have completed."""
-        if not self._pending:
+        if cycle < self._earliest:
             return
-        done = [b for b, ready in self._pending.items() if ready <= cycle]
+        pending = self._pending
+        done = [b for b, ready in pending.items() if ready <= cycle]
         for b in done:
-            del self._pending[b]
+            del pending[b]
+        self._earliest = min(pending.values(), default=math.inf)
 
     def pending_ready(self, block: int, cycle: int) -> Optional[int]:
         """Completion cycle of an in-flight fill of ``block``, if any.
@@ -92,4 +98,6 @@ class MshrFile:
             del self._pending[victim]
             self.stats.overflows += 1
         self._pending[block] = ready
+        if ready < self._earliest:
+            self._earliest = ready
         self.stats.allocations += 1

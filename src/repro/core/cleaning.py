@@ -9,8 +9,11 @@ latch then advances, so each individual line is revisited once per
 *cleaning interval* — the paper's 64K…4M-cycle parameter.
 
 This module implements only the sweep schedule; the per-line actions
-live in :meth:`repro.core.protected_cache.ProtectedL2.advance` because
-they mutate cache state.
+live in :meth:`repro.core.protected_cache.ProtectedL2._sweep_line`
+because they mutate cache state.  Like the hardware counter, the
+schedule knows the exact cycle of its next visit
+(:attr:`CleaningLogic.next_due`), so the simulator does no cleaning
+work at all between visits.
 """
 
 from __future__ import annotations
@@ -38,6 +41,9 @@ class CleaningLogic:
         self._last_cycle = 0
         #: Accumulated time in units of 1/n_sets cycles.
         self._tick_balance = 0
+        #: First cycle at which :meth:`due_sets` yields a set.
+        self.next_due = 0
+        self._reschedule()
         #: Total set checks issued (for reporting).
         self.checks = 0
 
@@ -56,6 +62,30 @@ class CleaningLogic:
         """Zero the check counter; the sweep latch keeps its position."""
         self.checks = 0
 
+    def _reschedule(self) -> None:
+        """Recompute :attr:`next_due` from the latch state.
+
+        A set is due once the balance reaches one interval, so the
+        first due cycle is ``ceil((interval - balance) / n_sets)``
+        cycles after the last accounted one (at once if the balance
+        already covers it).
+        """
+        owed = self.interval_cycles - self._tick_balance
+        self.next_due = self._last_cycle + max(0, -(-owed // self.n_sets))
+
+    def accrue(self, cycle: int) -> None:
+        """Account the cycles up to ``cycle`` without visiting any set.
+
+        Raises ``ValueError`` if ``cycle`` is earlier than the last
+        accounted cycle.  Accruing never moves :attr:`next_due`; it only
+        brings the balance up to date.
+        """
+        if cycle < self._last_cycle:
+            raise ValueError("cleaning clock moved backwards")
+        self._tick_balance += (cycle - self._last_cycle) * self.n_sets
+        self._last_cycle = cycle
+        self._reschedule()
+
     def due_sets(self, cycle: int) -> Iterator[int]:
         """Yield every set due for a check in (last cycle, ``cycle``].
 
@@ -65,14 +95,12 @@ class CleaningLogic:
         (cleaning an already-clean cache), so capping keeps long idle
         gaps cheap without changing observable state.
         """
-        if cycle < self._last_cycle:
-            raise ValueError("cleaning clock moved backwards")
-        self._tick_balance += (cycle - self._last_cycle) * self.n_sets
-        self._last_cycle = cycle
+        self.accrue(cycle)
         cap = 2 * self.n_sets
         issued = 0
         while self._tick_balance >= self.interval_cycles and issued < cap:
             self._tick_balance -= self.interval_cycles
+            self._reschedule()
             current = self.next_set
             self.next_set = (current + 1) % self.n_sets
             self.checks += 1
@@ -81,3 +109,4 @@ class CleaningLogic:
         if issued == cap:
             # Discard the remainder of an over-long idle gap.
             self._tick_balance %= self.interval_cycles
+            self._reschedule()

@@ -21,6 +21,7 @@ Used by the cleaning-policy ablation.
 from __future__ import annotations
 
 from repro.cache.cache import AccessResult, WritebackReason
+from repro.cache.line import CacheLine
 from repro.core.protected_cache import ProtectedL2
 
 
@@ -32,17 +33,15 @@ class DecayCleaningL2(ProtectedL2):
     ignored.
     """
 
-    def advance(self, cycle: int):
-        if self.cleaning is None:
-            return []
-        interval = self.cleaning.interval_cycles
-        result = AccessResult(hit=False, is_write=False)
-        for set_idx in self.cleaning.due_sets(cycle):
-            for way, line in enumerate(self.sets[set_idx]):
-                if not line.valid or not line.dirty:
-                    continue
-                if cycle - line.last_touch_cycle >= interval:
-                    self._writeback_line(
-                        set_idx, way, cycle, result, WritebackReason.CLEANING
-                    )
-        return result.writebacks
+    def _sweep_line(
+        self,
+        set_idx: int,
+        way: int,
+        line: CacheLine,
+        cycle: int,
+        result: AccessResult,
+    ) -> None:
+        if cycle - line.last_touch_cycle >= self.cleaning.interval_cycles:
+            self._writeback_line(
+                set_idx, way, cycle, result, WritebackReason.CLEANING
+            )

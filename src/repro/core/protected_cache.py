@@ -17,6 +17,7 @@ dirty lines own entries (checked by :mod:`repro.core.scrub`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -87,25 +88,50 @@ class ProtectedL2(SetAssociativeCache):
     def advance(self, cycle: int):
         """Run all cleaning checks due by ``cycle`` (Figure 2 FSM).
 
-        For each visited set: a line with ``dirty=1, written=0`` is
-        predicted write-dead and written back (Clean-WB); a line with
-        ``written=1`` has its written bit reset — it gets one more
-        interval to prove it has stopped being written.
+        Returns at once before :meth:`next_advance_cycle`.  Each valid
+        dirty line of a visited set goes through :meth:`_sweep_line`,
+        the one hook a cleaning policy overrides.
         """
-        if self.cleaning is None:
+        cleaning = self.cleaning
+        if cleaning is None:
+            return []
+        if cycle < cleaning.next_due:
+            cleaning.accrue(cycle)
             return []
         result = AccessResult(hit=False, is_write=False)
-        for set_idx in self.cleaning.due_sets(cycle):
+        sweep_line = self._sweep_line
+        for set_idx in cleaning.due_sets(cycle):
             for way, line in enumerate(self.sets[set_idx]):
-                if not line.valid or not line.dirty:
-                    continue
-                if line.written:
-                    line.written = False
-                else:
-                    self._writeback_line(
-                        set_idx, way, cycle, result, WritebackReason.CLEANING
-                    )
+                if line.valid and line.dirty:
+                    sweep_line(set_idx, way, line, cycle, result)
         return result.writebacks
+
+    def next_advance_cycle(self) -> float:
+        """The cleaning FSM's next set visit (``inf`` without cleaning)."""
+        cleaning = self.cleaning
+        return math.inf if cleaning is None else cleaning.next_due
+
+    def _sweep_line(
+        self,
+        set_idx: int,
+        way: int,
+        line: CacheLine,
+        cycle: int,
+        result: AccessResult,
+    ) -> None:
+        """Cleaning action on one valid dirty line of a visited set.
+
+        A line with ``written=0`` is predicted write-dead and written
+        back (Clean-WB); a line with ``written=1`` has its written bit
+        reset — it gets one more interval to prove it has stopped being
+        written.
+        """
+        if line.written:
+            line.written = False
+        else:
+            self._writeback_line(
+                set_idx, way, cycle, result, WritebackReason.CLEANING
+            )
 
     # -- write path with ECC-entry allocation ----------------------------------
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.cache.cache import AccessResult, CacheConfig, WritebackReason
+from repro.cache.cache import CacheConfig, WritebackReason
 from repro.cache.energy import EnergyParams, estimate_energy
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.core.area import proposed_overhead
@@ -449,17 +449,10 @@ def ablate_replacement(
 class _NoWrittenBitL2(ProtectedL2):
     """Cleaning without the written bit: clean every dirty line on sweep."""
 
-    def advance(self, cycle: int):
-        if self.cleaning is None:
-            return []
-        result = AccessResult(hit=False, is_write=False)
-        for set_idx in self.cleaning.due_sets(cycle):
-            for way, line in enumerate(self.sets[set_idx]):
-                if line.valid and line.dirty:
-                    self._writeback_line(
-                        set_idx, way, cycle, result, WritebackReason.CLEANING
-                    )
-        return result.writebacks
+    def _sweep_line(self, set_idx, way, line, cycle, result) -> None:
+        self._writeback_line(
+            set_idx, way, cycle, result, WritebackReason.CLEANING
+        )
 
 
 def ablate_written_bit(

@@ -65,10 +65,6 @@ from repro.reliability.estimates import (
     mttf_interval,
     scheme_estimate,
 )
-from repro.reliability.vector import (
-    HAVE_NUMPY,
-    run_trials_vector,
-)
 from repro.reliability.model import (
     FaultDomain,
     FaultModelConfig,
@@ -92,6 +88,23 @@ from repro.reliability.stopping import (
     wilson_half_width,
     wilson_interval,
 )
+
+
+def __getattr__(name):
+    """Resolve the numpy-backed exports on first use.
+
+    ``HAVE_NUMPY`` and ``run_trials_vector`` live in
+    :mod:`repro.reliability.vector`, which imports numpy; loading it
+    lazily keeps numpy out of ``import repro.reliability``.  The value
+    is read from the module each time, so patching
+    ``vector.HAVE_NUMPY`` is seen here too.
+    """
+    if name in ("HAVE_NUMPY", "run_trials_vector"):
+        from repro.reliability import vector
+
+        return getattr(vector, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CampaignAborted",

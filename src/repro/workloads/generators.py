@@ -30,11 +30,6 @@ import bisect
 import random
 from typing import Iterator, NamedTuple
 
-try:  # The [fast] extra; the zipf sampler has a stdlib fallback.
-    import numpy as np
-except ImportError:  # pragma: no cover - environment-dependent
-    np = None
-
 
 class MemRef(NamedTuple):
     """One data reference: write flag, byte address, preceding non-mem insts."""
@@ -162,6 +157,10 @@ def zipf_stream(
     and rightly survive cleaning).
     """
     n = max(1, ws_bytes // granule_bytes)
+    try:  # The [fast] extra, imported on first use to keep start-up lean.
+        import numpy as np
+    except ImportError:  # pragma: no cover - environment-dependent
+        np = None
     if np is not None:
         ranks = np.arange(1, n + 1, dtype=np.float64)
         weights = ranks ** (-alpha)

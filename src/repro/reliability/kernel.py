@@ -1,4 +1,4 @@
-"""The batched injection kernel: pooled codewords + syndrome tables.
+"""The batched injection kernel: a memoized per-word outcome table.
 
 :func:`repro.reliability.model.run_trial` is the campaign's semantic
 oracle: it builds a real :class:`~repro.core.policy.LineProtection`
@@ -8,39 +8,49 @@ intervals can be (±0.1% needs ~10⁶ trials per scheme).
 
 This module is the fast path.  Three observations make it possible:
 
-1. **Outcomes are payload-independent.**  Parity and SECDED are
+1. **Outcomes are payload-independent.**  Every registered code is
    GF(2)-linear, so what a decoder sees is a pure function of the
-   injected *error pattern*: syndrome(stored) = syndrome(error), and
-   "repaired == golden" holds exactly when the correction cancels the
-   error.  No per-trial payload needs to exist.
-2. **Pre-encoded lines can be reused.**  A :class:`LinePool` holds a
-   fixed population of payloads with their parity and SECDED check
-   bytes in flat ``bytearray`` buffers, encoded once.  A trial flips
-   bits of a pooled line in place, classifies the strike, and flips
-   them back — no construction, no re-encode.
-3. **Decoding is eight table lookups.**  The per-byte
-   :data:`repro.ecc.hamming.SYNDROME_TABLES` give a word's SECDED check
-   bits as the XOR of eight 256-entry lookups;
-   :data:`repro.ecc.parity.BYTE_PARITY` does the same for parity.
+   injected *error pattern*: decoding the stored line is decoding the
+   error against the all-zero codeword, and "repaired == golden" holds
+   exactly when every word's residual error is zero.  A strike is
+   therefore fully described by its per-word error masks; no payload,
+   encode or pooled buffer takes part in classifying it.
+2. **A struck word is decoded once per code.**  :class:`_KernelPlan`
+   keeps, per line state, a memo from one word's codeword error mask
+   (data error in the low 64 bits, check-bit error above) to three
+   outcome flags — residual non-zero, corrected, detected — filled on
+   a miss from the live recovery codec's ``check(e_data, e_check)``.
+   The samplers emit only a few thousand distinct word masks per code
+   (single bits, in-word pairs, short bursts, column bits), so after
+   warm-up a trial decodes nothing: it looks its words up.
+3. **A strike is one more lookup.**  The worst-of reduction of
+   :meth:`repro.ecc.codec.LineCodec.check_line` over a strike's words
+   is the OR of their flags (detected ≻ residual ≻ corrected ≻ clean),
+   and the recovery contract of
+   :meth:`repro.core.policy.LineProtection.access` plus the controller
+   model of ``model._observe`` (``controller_refetch``, detect-only
+   refetch) map those three bits to an outcome — an 8-entry table per
+   line state.
 
 **Exact parity with the reference path.**  ``run_trials_batch`` draws
 the same random variates in the same order as ``run_trial`` (state,
 domain, multiplicity, pooled line index, flip positions, read roll),
-and both source payloads from the same pool — so under one shard seed
-the two kernels produce *identical* per-trial outcomes, not merely the
-same distribution.  The campaign's checkpoints are therefore
-kernel-portable: a file written under ``--kernel reference`` resumes
-under ``--kernel batch`` bit-identically (pinned in
-``tests/reliability/test_kernel.py``).
+and scenario trials draw through the *same* sampler functions — so
+under one shard seed the two kernels produce *identical* per-trial
+outcomes, not merely the same distribution.  The campaign's
+checkpoints are therefore kernel-portable: a file written under
+``--kernel reference`` resumes under ``--kernel batch`` bit-identically
+(pinned in ``tests/reliability/test_kernel.py``).
 
 Numpy is deliberately not used here: exact parity binds the kernel to
 the Mersenne-Twister draw order of :class:`random.Random`, which a
-vectorized RNG cannot replay.  The flat buffers keep the door open.
+vectorized RNG cannot replay.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.policy import (
@@ -49,10 +59,8 @@ from repro.core.policy import (
     RecoveryAction,
     domain_codec,
 )
-from repro.ecc.codec import Codec
+from repro.ecc.codec import WORD_MASK, Codec
 from repro.ecc.events import CheckOutcome
-from repro.ecc.hamming import _POS_TO_DATABIT, SYNDROME_TABLES, encode_word
-from repro.ecc.parity import BYTE_PARITY, _parity64
 from repro.reliability.scenarios import (
     check_error_masks,
     class_cdf,
@@ -61,6 +69,7 @@ from repro.reliability.scenarios import (
     draw_class,
     flips_for,
     get_scenario,
+    randbelow,
 )
 from repro.reliability.model import (
     DOMAIN_ORDER,
@@ -85,12 +94,11 @@ POOL_SEED = 0x9E3779B97F4A7C15
 
 
 class LinePool:
-    """A fixed population of pre-encoded cache lines in flat buffers.
+    """A fixed population of cache-line payloads in one flat buffer.
 
-    ``payload`` holds ``size`` lines back to back; ``parity`` and
-    ``ecc`` hold one check byte per 64-bit word (parity uses only bit
-    0), regardless of which codes a given policy/state actually stores
-    — selection happens per trial, so one pool serves every scheme.
+    ``payload`` holds ``size`` lines back to back.  The reference path
+    builds its live lines from them; the batched kernel only replays
+    the pool-index draw (outcomes are payload independent).
     """
 
     _shared: Dict[Tuple[int, int], "LinePool"] = {}
@@ -107,19 +115,10 @@ class LinePool:
             raise ValueError("pool needs at least one line")
         self.line_bytes = line_bytes
         self.size = size
-        #: ``randrange(size)`` draw width (see :func:`_randbelow`).
+        #: ``randrange(size)`` draw width (see :func:`randbelow`).
         self.k_size = size.bit_length()
-        self.words_per_line = line_bytes // 8
         rng = random.Random(seed)
         self.payload = bytearray(rng.randbytes(size * line_bytes))
-        n_words = size * self.words_per_line
-        self.parity = bytearray(n_words)
-        self.ecc = bytearray(n_words)
-        view = memoryview(self.payload)
-        for j in range(n_words):
-            word = int.from_bytes(view[j * 8 : j * 8 + 8], "little")
-            self.parity[j] = _parity64(word)
-            self.ecc[j] = encode_word(word)
 
     @classmethod
     def shared(cls, line_bytes: int = 64, size: int = POOL_SIZE) -> "LinePool":
@@ -138,141 +137,171 @@ class LinePool:
         return bytes(self.payload[start : start + self.line_bytes])
 
 
+#: Per-word outcome flags; a strike's flags are the OR over its words.
+RESIDUAL, CORRECTED, DETECTED = 1, 2, 4
+
+#: A struck word's memo key is its *codeword* error mask: the data
+#: error in the low 64 bits, the check-bit error shifted above them.
+CHECK_SHIFT = 64
+
+
+def _word_flags(codec: Codec, key: int) -> int:
+    """Outcome flags of one struck word: the live decode of its error."""
+    result = codec.check(key & WORD_MASK, key >> CHECK_SHIFT)
+    outcome = result.outcome
+    if outcome is CheckOutcome.OK:
+        flags = 0
+    elif outcome is CheckOutcome.CORRECTED:
+        flags = CORRECTED
+    else:  # DETECTED; UNDETECTED classifies alike in LineProtection.access
+        flags = DETECTED
+    if result.data:
+        flags |= RESIDUAL
+    return flags
+
+
+def _outcome_table(
+    codec: Codec, dirty: bool, config: FaultModelConfig
+) -> Tuple[str, ...]:
+    """Outcome value of a strike, indexed by the OR of its word flags."""
+    table = []
+    for flags in range(8):
+        if flags & DETECTED:
+            if codec.corrects or dirty:
+                # Beyond a correcting code's power, or detected on the
+                # only up-to-date copy: signalled data loss.
+                action = RecoveryAction.DATA_LOSS
+            else:
+                # Detect-only recovery refetches clean lines
+                # unconditionally (independent of controller_refetch).
+                action = RecoveryAction.REFETCHED
+        elif flags & RESIDUAL:
+            action = RecoveryAction.SILENT_CORRUPTION
+        elif flags & CORRECTED:
+            action = RecoveryAction.CORRECTED_IN_PLACE
+        else:
+            action = RecoveryAction.CLEAN_READ
+        if (
+            config.controller_refetch
+            and not dirty
+            and action is RecoveryAction.DATA_LOSS
+        ):
+            # The controller knows the line is clean and refetches it.
+            outcome = TrialOutcome.REFETCHED
+        else:
+            outcome = _ACTION_TO_OUTCOME[action]
+        table.append(outcome.value)
+    return tuple(table)
+
+
+#: The check column each recovery domain decodes through.
+_COLUMN_OF = {ProtectionDomain.PARITY: "parity", ProtectionDomain.ECC: "ecc"}
+
+
 class _KernelPlan:
-    """Per-(policy, config) precomputation shared by every trial."""
+    """Per-(policy, config) precomputation shared by every trial.
+
+    Everything keyed by line state is a 2-tuple indexed by the
+    ``dirty`` bool itself, so the trial loops never hash an enum.
+    """
 
     __slots__ = (
-        "words", "cum", "total", "recovery", "parity_bits", "ecc_bits",
-        "k_line", "k_words", "codec_by_domain", "classes", "cdf",
+        "words", "k_line", "k_words", "classes", "cdf", "cum", "total",
+        "parity_bits", "ecc_bits", "recovery", "codec", "memo", "outcome_of",
     )
 
     def __init__(self, policy: ProtectionPolicy, config: FaultModelConfig):
         self.words = config.line_bytes // 8
         self.k_line = config.line_bytes.bit_length()
         self.k_words = self.words.bit_length()
-        codecs = config.codecs()
-        #: The live codec guarding each slot (registry defaults unless
-        #: the config overrides the ECC code) — the generic scenario
-        #: path classifies error masks through these directly.
-        self.codec_by_domain: Dict[ProtectionDomain, Codec] = {
-            domain: domain_codec(domain, codecs)
-            for domain in (ProtectionDomain.PARITY, ProtectionDomain.ECC)
-        }
         self.classes = get_scenario(config.scenario).resolve(
             config.double_bit_fraction
         )
         self.cdf = class_cdf(self.classes)
-        self.cum: Dict[bool, List[float]] = {}
-        self.total: Dict[bool, float] = {}
-        self.recovery: Dict[bool, ProtectionDomain] = {}
-        self.parity_bits: Dict[bool, int] = {}
-        self.ecc_bits: Dict[bool, int] = {}
+        codecs = config.codecs()
+        #: The live codec guarding each check column (registry defaults
+        #: unless the config overrides the ECC code).
+        column_codec = {
+            "parity": domain_codec(ProtectionDomain.PARITY, codecs),
+            "ecc": domain_codec(ProtectionDomain.ECC, codecs),
+        }
+        cum, total, parity_bits, ecc_bits = [], [], [], []
+        recovery, codec, outcome_of = [], [], []
         for dirty in (False, True):
             weights = domain_bits(policy, dirty, config)
             # Same float accumulation order as model._choose_domain, so
             # the roll-vs-cumulative comparisons are bit-identical.
-            acc, cum = 0.0, []
+            acc, state_cum = 0.0, []
             for domain in DOMAIN_ORDER:
                 acc += weights[domain]
-                cum.append(acc)
-            self.cum[dirty] = cum
-            self.total[dirty] = float(
-                sum(weights[d] for d in DOMAIN_ORDER)
-            )
-            self.recovery[dirty] = policy.recovery_domain(dirty, codecs)
+                state_cum.append(acc)
+            cum.append(tuple(state_cum))
+            total.append(float(sum(weights[d] for d in DOMAIN_ORDER)))
             domains = policy.domains_for(dirty)
-            self.parity_bits[dirty] = (
-                self.codec_by_domain[
-                    ProtectionDomain.PARITY
-                ].check_bits_per_word
+            parity_bits.append(
+                column_codec["parity"].check_bits_per_word
                 if ProtectionDomain.PARITY in domains
                 else 0
             )
-            self.ecc_bits[dirty] = (
-                self.codec_by_domain[ProtectionDomain.ECC].check_bits_per_word
+            ecc_bits.append(
+                column_codec["ecc"].check_bits_per_word
                 if ProtectionDomain.ECC in domains
                 else 0
             )
+            column = _COLUMN_OF[policy.recovery_domain(dirty, codecs)]
+            recovery.append(column)
+            codec.append(column_codec[column])
+            outcome_of.append(_outcome_table(column_codec[column], dirty, config))
+        self.cum = tuple(cum)
+        self.total = tuple(total)
+        self.parity_bits = tuple(parity_bits)
+        self.ecc_bits = tuple(ecc_bits)
+        #: The check column the recovery code decodes; stale check bits
+        #: of the other column are never consulted (flags 0).
+        self.recovery = tuple(recovery)
+        self.codec = tuple(codec)
+        #: ``{codeword error mask: flags}`` per line state.  Plain dicts
+        #: of ints stay untracked by the cyclic GC, so a warm memo adds
+        #: nothing to a collection's traversal.
+        self.memo: Tuple[Dict[int, int], Dict[int, int]] = ({}, {})
+        self.outcome_of = tuple(outcome_of)
 
+    def flags(self, dirty: bool, key: int) -> int:
+        """Flags of one struck word, decoded and memoized on a miss.
+
+        Keys are per-word codeword masks only, never whole strikes, so
+        a memo is bounded by the samplers' mask alphabet (~1-2k entries
+        per code).  The trial loops inline the hit path.
+        """
+        memo = self.memo[dirty]
+        flags = memo.get(key)
+        if flags is None:
+            flags = memo[key] = _word_flags(self.codec[dirty], key)
+        return flags
+
+
+#: Plans kept per process.  A warm plan holds a few thousand memo
+#: entries (~300 kB under low-voltage), and a long-lived service sees a
+#: new config per measured dirty fraction, so the oldest plan is
+#: dropped beyond this; a campaign or autotune grid uses ~12.
+MAX_PLANS = 64
 
 _PLANS: Dict[Tuple[str, FaultModelConfig], _KernelPlan] = {}
+#: Serialises eviction: the job service runs campaigns on threads.
+_PLANS_LOCK = threading.Lock()
 
 
 def _plan_for(policy: ProtectionPolicy, config: FaultModelConfig) -> _KernelPlan:
     key = (policy.name, config)
     plan = _PLANS.get(key)
     if plan is None:
-        plan = _PLANS[key] = _KernelPlan(policy, config)
+        with _PLANS_LOCK:
+            plan = _PLANS.get(key)
+            if plan is None:
+                if len(_PLANS) >= MAX_PLANS:
+                    del _PLANS[next(iter(_PLANS))]
+                plan = _PLANS[key] = _KernelPlan(policy, config)
     return plan
-
-
-def _randbelow(getrandbits, k: int, n: int) -> int:
-    """Uniform int in ``[0, n)`` drawing exactly like ``randrange(n)``.
-
-    This is CPython's ``Random._randbelow_with_getrandbits`` rejection
-    scheme (``k = n.bit_length()``, unchanged since well before 3.9)
-    with the ``randrange`` argument plumbing peeled off — the hot loop's
-    single biggest cost.  Consuming the identical ``getrandbits`` calls
-    is what keeps the batched kernel on the reference path's
-    Mersenne-Twister stream (pinned by the parity tests, which compare
-    final rng state as well as outcomes).
-    """
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
-def _secded_action(
-    word_parity: int, enc: int, check: int, data_err: int
-) -> RecoveryAction:
-    """Classify one struck word under SECDED recovery.
-
-    Mirrors :meth:`repro.ecc.hamming.SecDedCodec.check` +
-    :meth:`repro.core.policy.LineProtection.access` (ECC domain) exactly:
-    ``enc`` is the table-encode of the *corrupted* word, ``check`` the
-    stored (possibly corrupted) check byte, ``data_err`` the injected
-    error mask within the word (0 for pure check-bit strikes) —
-    "repaired == golden" reduces to "the correction cancels the error".
-    """
-    syndrome = (check ^ enc) & 0x7F
-    overall = word_parity ^ BYTE_PARITY[check]
-    if syndrome == 0 and overall == 0:
-        return (
-            RecoveryAction.CLEAN_READ
-            if data_err == 0
-            else RecoveryAction.SILENT_CORRUPTION
-        )
-    if overall == 1:
-        if syndrome == 0 or syndrome & (syndrome - 1) == 0:
-            # A check bit itself is repaired; the data word is intact.
-            return (
-                RecoveryAction.CORRECTED_IN_PLACE
-                if data_err == 0
-                else RecoveryAction.SILENT_CORRUPTION
-            )
-        databit = _POS_TO_DATABIT.get(syndrome)
-        if databit is None:
-            return RecoveryAction.DATA_LOSS  # ≥3 flips: detected
-        return (
-            RecoveryAction.CORRECTED_IN_PLACE
-            if data_err == 1 << databit
-            else RecoveryAction.SILENT_CORRUPTION
-        )
-    return RecoveryAction.DATA_LOSS  # detected double-bit error
-
-
-def _finish(
-    action: RecoveryAction, dirty: bool, config: FaultModelConfig
-) -> TrialOutcome:
-    """The controller model of ``model._observe``, post-decode."""
-    if (
-        config.controller_refetch
-        and not dirty
-        and action is RecoveryAction.DATA_LOSS
-    ):
-        return TrialOutcome.REFETCHED
-    return _ACTION_TO_OUTCOME[action]
 
 
 def _data_trial(
@@ -282,60 +311,23 @@ def _data_trial(
     flips: int,
     config: FaultModelConfig,
     rng: random.Random,
-) -> TrialOutcome:
+) -> str:
     # Identical draw order to model._inject_data: line index, first
     # flip, optional second flip (same word), then the read roll.
     getrandbits = rng.getrandbits
-    idx = _randbelow(getrandbits, pool.k_size, pool.size)
-    byte_idx = _randbelow(getrandbits, plan.k_line, config.line_bytes)
-    bit1 = _randbelow(getrandbits, 4, 8)
-    word_start = byte_idx - byte_idx % 8
-    rel1 = byte_idx - word_start
+    randbelow(getrandbits, pool.k_size, pool.size)  # outcome-inert
+    byte_idx = randbelow(getrandbits, plan.k_line, config.line_bytes)
+    err = 1 << (byte_idx % 8 * 8 + randbelow(getrandbits, 4, 8))
     if flips > 1:
-        rel2 = _randbelow(getrandbits, 4, 8)
-        bit2 = _randbelow(getrandbits, 4, 8)
+        err ^= 1 << (
+            randbelow(getrandbits, 4, 8) * 8 + randbelow(getrandbits, 4, 8)
+        )
     if not dirty and rng.random() >= config.read_fraction:
-        return TrialOutcome.MASKED
-
-    err = 1 << (rel1 * 8 + bit1)
-    if flips > 1:
-        err ^= 1 << (rel2 * 8 + bit2)
-    recovery = plan.recovery[dirty]
-    if recovery is ProtectionDomain.PARITY:
-        # Only the struck word can mismatch; no decode needed beyond
-        # the error's own parity (the code is linear).
-        if _parity64(err):
-            action = (
-                RecoveryAction.DATA_LOSS
-                if dirty
-                else RecoveryAction.REFETCHED
-            )
-        elif err == 0:
-            action = RecoveryAction.CLEAN_READ
-        else:
-            action = RecoveryAction.SILENT_CORRUPTION
-        return _finish(action, dirty, config)
-
-    # SECDED recovery: flip the pooled word in place, decode it via the
-    # syndrome tables, restore the flips.
-    buf = pool.payload
-    base = idx * config.line_bytes + word_start
-    buf[base + rel1] ^= 1 << bit1
-    if flips > 1:
-        buf[base + rel2] ^= 1 << bit2
-    b0, b1, b2, b3, b4, b5, b6, b7 = buf[base : base + 8]
-    t = SYNDROME_TABLES
-    enc = (
-        t[0][b0] ^ t[1][b1] ^ t[2][b2] ^ t[3][b3]
-        ^ t[4][b4] ^ t[5][b5] ^ t[6][b6] ^ t[7][b7]
-    )
-    word_parity = BYTE_PARITY[b0 ^ b1 ^ b2 ^ b3 ^ b4 ^ b5 ^ b6 ^ b7]
-    check = pool.ecc[idx * plan.words + word_start // 8]
-    buf[base + rel1] ^= 1 << bit1
-    if flips > 1:
-        buf[base + rel2] ^= 1 << bit2
-    action = _secded_action(word_parity, enc, check, err)
-    return _finish(action, dirty, config)
+        return "masked"
+    flags = plan.memo[dirty].get(err)
+    if flags is None:
+        flags = plan.flags(dirty, err)
+    return plan.outcome_of[dirty][flags]
 
 
 def _check_trial(
@@ -345,106 +337,34 @@ def _check_trial(
     flips: int,
     config: FaultModelConfig,
     rng: random.Random,
-) -> TrialOutcome:
+) -> str:
     # Identical draw order to model._inject_check: line index, struck
     # word, column roll, flip bits (ECC column only), read roll.
     getrandbits = rng.getrandbits
-    idx = _randbelow(getrandbits, pool.k_size, pool.size)
+    randbelow(getrandbits, pool.k_size, pool.size)  # outcome-inert
     parity_bits = plan.parity_bits[dirty]
     ecc_bits = plan.ecc_bits[dirty]
-    word = _randbelow(getrandbits, plan.k_words, plan.words)
+    randbelow(getrandbits, plan.k_words, plan.words)  # struck word
     strike_ecc = rng.random() * (parity_bits + ecc_bits) < ecc_bits
     if strike_ecc:
-        check_err = 1 << _randbelow(getrandbits, 4, 8)
+        k = ecc_bits.bit_length()
+        check_err = 1 << randbelow(getrandbits, k, ecc_bits)
         if flips > 1:
-            check_err ^= 1 << _randbelow(getrandbits, 4, 8)
+            check_err ^= 1 << randbelow(getrandbits, k, ecc_bits)
     if not dirty and rng.random() >= config.read_fraction:
-        return TrialOutcome.MASKED
-
-    recovery = plan.recovery[dirty]
-    if not strike_ecc:
-        if recovery is ProtectionDomain.ECC:
-            # Stale parity shadowed by intact ECC: nothing observed.
-            action = RecoveryAction.CLEAN_READ
-        else:
-            # The struck parity word(s) mismatch against intact data.
-            action = (
-                RecoveryAction.DATA_LOSS
-                if dirty
-                else RecoveryAction.REFETCHED
-            )
-        return _finish(action, dirty, config)
-
-    # Struck ECC column: a line storing ECC always recovers through it.
-    pos = idx * plan.words + word
-    pool.ecc[pos] ^= check_err
-    check = pool.ecc[pos]
-    pool.ecc[pos] ^= check_err
-    base = idx * config.line_bytes + word * 8
-    buf = pool.payload
-    b0, b1, b2, b3, b4, b5, b6, b7 = buf[base : base + 8]
-    t = SYNDROME_TABLES
-    enc = (
-        t[0][b0] ^ t[1][b1] ^ t[2][b2] ^ t[3][b3]
-        ^ t[4][b4] ^ t[5][b5] ^ t[6][b6] ^ t[7][b7]
-    )
-    word_parity = BYTE_PARITY[b0 ^ b1 ^ b2 ^ b3 ^ b4 ^ b5 ^ b6 ^ b7]
-    action = _secded_action(word_parity, enc, check, 0)
-    return _finish(action, dirty, config)
-
-
-#: CheckOutcome severity, mirroring ``LineCodec.check_line``'s worst-of
-#: ordering (UNDETECTED classifies like DETECTED in ``access``).
-_SEVERITY = {
-    CheckOutcome.OK: 0,
-    CheckOutcome.CORRECTED: 1,
-    CheckOutcome.DETECTED: 2,
-    CheckOutcome.UNDETECTED: 2,
-}
-
-
-def _classify_masks(
-    codec: Codec,
-    pairs: List[Tuple[int, int]],
-    dirty: bool,
-) -> RecoveryAction:
-    """Classify a strike from its per-word (data, check) error masks.
-
-    GF(2) linearity again: decoding the stored line is equivalent to
-    decoding the pure error pattern against the all-zero codeword, so
-    ``codec.check(e_data, e_check)`` per struck word plus the worst-of
-    reduction of :meth:`repro.ecc.codec.LineCodec.check_line` and the
-    recovery contract of :meth:`repro.core.policy.LineProtection.access`
-    reproduce the reference path exactly — "repaired == golden" becomes
-    "every residual is zero".
-    """
-    worst = 0
-    residual = 0
-    for e_data, e_check in pairs:
-        result = codec.check(e_data, e_check)
-        severity = _SEVERITY[result.outcome]
-        if severity > worst:
-            worst = severity
-        residual |= result.data
-    if worst == 2:
-        if codec.corrects:
-            # Beyond the code's correction power: signalled; _finish
-            # decides whether the controller can refetch a clean line.
-            return RecoveryAction.DATA_LOSS
-        # Detect-only recovery refetches clean lines unconditionally
-        # (the line-level path, independent of controller_refetch).
-        return (
-            RecoveryAction.DATA_LOSS if dirty else RecoveryAction.REFETCHED
-        )
-    if residual:
-        return RecoveryAction.SILENT_CORRUPTION
-    if worst == 1:
-        return RecoveryAction.CORRECTED_IN_PLACE
-    return RecoveryAction.CLEAN_READ
+        return "masked"
+    if ("ecc" if strike_ecc else "parity") != plan.recovery[dirty]:
+        return plan.outcome_of[dirty][0]  # stale column, never consulted
+    # One parity bit per word: a second upset bit lands in the
+    # neighbouring word's column entry, whose flags are the same.
+    key = (check_err if strike_ecc else 1) << CHECK_SHIFT
+    flags = plan.memo[dirty].get(key)
+    if flags is None:
+        flags = plan.flags(dirty, key)
+    return plan.outcome_of[dirty][flags]
 
 
 def _run_trials_scenario(
-    policy: ProtectionPolicy,
     config: FaultModelConfig,
     n: int,
     rng: random.Random,
@@ -458,71 +378,78 @@ def _run_trials_scenario(
     :func:`repro.reliability.model._run_trial_scenario`, with the same
     rng, in the same order — bit-identical trial streams by
     construction rather than by draw replication.  Classification then
-    runs on the pure error masks (no pooled-buffer mutation at all).
+    looks the strike's per-word error masks up in the plan's memos.
     """
     outcomes: Dict[str, Dict[str, int]] = {}
     samples: List[Tuple[int, str, bool, str]] = []
     rand = rng.random
-    per = {
-        domain.value: outcomes.setdefault(domain.value, {})
-        for domain in DOMAIN_ORDER
-    }
+    getrandbits = rng.getrandbits
+    k_size, size = pool.k_size, pool.size
+    dirty_fraction = config.dirty_fraction
+    read_fraction = config.read_fraction
+    line_bytes = config.line_bytes
+    words = plan.words
+    per_data, per_tag, per_status, per_check = (
+        outcomes.setdefault(domain.value, {}) for domain in DOMAIN_ORDER
+    )
     value_of = {out: out.value for out in TrialOutcome}
     classes, cdf = plan.classes, plan.cdf
+    flags_of = plan.flags
+    states = tuple(zip(
+        plan.cum, plan.total, plan.parity_bits, plan.ecc_bits,
+        plan.recovery, plan.memo, plan.outcome_of,
+    ))
     for trial in range(n):
-        dirty = rand() < config.dirty_fraction
-        cum = plan.cum[dirty]
-        roll = rand() * plan.total[dirty]
+        dirty = rand() < dirty_fraction
+        (
+            cum, total, parity_bits, ecc_bits, recovery, memo, outcome_of,
+        ) = states[dirty]
+        roll = rand() * total
         cls = draw_class(rng, classes, cdf)
         length = draw_burst_length(rng, cls)
         if roll < cum[0]:
-            domain_value = "data"
-            rng.randrange(pool.size)  # pooled line index (outcome-inert)
-            masks = data_error_masks(rng, cls, length, config.line_bytes)
-            if not dirty and rand() >= config.read_fraction:
-                outcome = TrialOutcome.MASKED
+            domain_value, per_domain = "data", per_data
+            randbelow(getrandbits, k_size, size)  # outcome-inert
+            masks = data_error_masks(rng, cls, length, line_bytes)
+            if not dirty and rand() >= read_fraction:
+                key = "masked"
             else:
-                codec = plan.codec_by_domain[plan.recovery[dirty]]
-                action = _classify_masks(
-                    codec, [(e, 0) for e in masks.values()], dirty
-                )
-                outcome = _finish(action, dirty, config)
+                flags = 0
+                for mask in masks.values():
+                    word = memo.get(mask)
+                    if word is None:
+                        word = flags_of(dirty, mask)
+                    flags |= word
+                key = outcome_of[flags]
         elif roll < cum[1]:
-            domain_value = "tag"
-            outcome = _inject_tag(
-                dirty, flips_for(cls, length), config, rng
-            )
+            domain_value, per_domain = "tag", per_tag
+            key = value_of[
+                _inject_tag(dirty, flips_for(cls, length), config, rng)
+            ]
         elif roll < cum[2]:
-            domain_value = "status"
-            outcome = _inject_status(
-                dirty, flips_for(cls, length), config, rng
-            )
+            domain_value, per_domain = "status", per_status
+            key = value_of[
+                _inject_status(dirty, flips_for(cls, length), config, rng)
+            ]
         else:
-            domain_value = "check"
-            rng.randrange(pool.size)  # pooled line index (outcome-inert)
+            domain_value, per_domain = "check", per_check
+            randbelow(getrandbits, k_size, size)  # outcome-inert
             column, cmasks = check_error_masks(
-                rng, cls, length, plan.words,
-                plan.parity_bits[dirty], plan.ecc_bits[dirty],
+                rng, cls, length, words, parity_bits, ecc_bits
             )
-            if not dirty and rand() >= config.read_fraction:
-                outcome = TrialOutcome.MASKED
+            if not dirty and rand() >= read_fraction:
+                key = "masked"
+            elif column != recovery:
+                key = outcome_of[0]  # stale column, never consulted
             else:
-                recovery = plan.recovery[dirty]
-                recovery_column = (
-                    "ecc" if recovery is ProtectionDomain.ECC else "parity"
-                )
-                if column != recovery_column:
-                    # Stale check bits of a column the recovery code
-                    # never consults (e.g. parity shadowed by ECC).
-                    action = RecoveryAction.CLEAN_READ
-                else:
-                    codec = plan.codec_by_domain[recovery]
-                    action = _classify_masks(
-                        codec, [(0, m) for m in cmasks.values()], dirty
-                    )
-                outcome = _finish(action, dirty, config)
-        key = value_of[outcome]
-        per_domain = per[domain_value]
+                flags = 0
+                for mask in cmasks.values():
+                    mask <<= CHECK_SHIFT
+                    word = memo.get(mask)
+                    if word is None:
+                        word = flags_of(dirty, mask)
+                    flags |= word
+                key = outcome_of[flags]
         per_domain[key] = per_domain.get(key, 0) + 1
         if len(samples) < sample_limit:
             samples.append((trial, domain_value, dirty, key))
@@ -557,11 +484,8 @@ def run_trials_batch(
     plan = _plan_for(policy, config)
     if config.scenario != "nominal" or config.ecc_codec != "secded":
         # Correlated scenarios and non-default codecs take the generic
-        # mask-classification path; below is the historical nominal
-        # fast path, preserved bit for bit.
-        return _run_trials_scenario(
-            policy, config, n, rng, pool, sample_limit, plan
-        )
+        # sampler path; below is the historical nominal trial stream.
+        return _run_trials_scenario(config, n, rng, pool, sample_limit, plan)
     outcomes: Dict[str, Dict[str, int]] = {}
     samples: List[Tuple[int, str, bool, str]] = []
     rand = rng.random
@@ -574,32 +498,26 @@ def run_trials_batch(
     per_status = outcomes.setdefault(FaultDomain.STATUS.value, {})
     per_check = outcomes.setdefault(FaultDomain.CHECK.value, {})
     value_of = {out: out.value for out in TrialOutcome}
-    clean_cum = plan.cum[False]
-    dirty_cum = plan.cum[True]
-    clean_total = plan.total[False]
-    dirty_total = plan.total[True]
+    states = tuple(zip(plan.cum, plan.total))
     for trial in range(n):
         # Draw order per trial (the contract with run_trial): dirty
         # roll, domain roll, flips roll, then the injector's own draws.
         dirty = rand() < dirty_fraction
-        if dirty:
-            cum, roll = dirty_cum, rand() * dirty_total
-        else:
-            cum, roll = clean_cum, rand() * clean_total
+        cum, total = states[dirty]
+        roll = rand() * total
         flips = 2 if rand() < double_bit_fraction else 1
         if roll < cum[0]:
             domain_value, per_domain = "data", per_data
-            outcome = _data_trial(pool, plan, dirty, flips, config, rng)
+            key = _data_trial(pool, plan, dirty, flips, config, rng)
         elif roll < cum[1]:
             domain_value, per_domain = "tag", per_tag
-            outcome = _inject_tag(dirty, flips, config, rng)
+            key = value_of[_inject_tag(dirty, flips, config, rng)]
         elif roll < cum[2]:
             domain_value, per_domain = "status", per_status
-            outcome = _inject_status(dirty, flips, config, rng)
+            key = value_of[_inject_status(dirty, flips, config, rng)]
         else:
             domain_value, per_domain = "check", per_check
-            outcome = _check_trial(pool, plan, dirty, flips, config, rng)
-        key = value_of[outcome]
+            key = _check_trial(pool, plan, dirty, flips, config, rng)
         per_domain[key] = per_domain.get(key, 0) + 1
         if len(samples) < sample_limit:
             samples.append((trial, domain_value, dirty, key))

@@ -24,16 +24,24 @@ property the nominal model pins.  Checkpoint digests fold the scenario
 name in (``nominal`` keeps the historical digest), so shards from
 different scenarios can never be spliced together.
 
+Every integer position is drawn through :func:`randbelow`, which
+consumes exactly the ``getrandbits`` calls ``rng.randrange(n)`` would
+(CPython's rejection scheme) without its argument plumbing: the
+samplers stay on the historical Mersenne-Twister stream while running
+both kernels faster.
+
 The masks returned are *error patterns*: ``{word index: 64-bit mask}``
 for data strikes, ``(column, {word index: column mask})`` for check
 strikes.  The reference kernel XORs them into a live
-:class:`~repro.core.policy.LineProtection`; the batched kernel decodes
-them directly against the zero codeword (GF(2) linearity).
+:class:`~repro.core.policy.LineProtection`; the batched kernel looks
+each word's mask up in its memoized per-word outcome table (GF(2)
+linearity makes the outcome a function of the mask alone).
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -219,6 +227,23 @@ register_scenario(Scenario(
 # -- shared samplers (the cross-kernel determinism contract) ------------------
 
 
+def randbelow(getrandbits, k: int, n: int) -> int:
+    """Uniform int in ``[0, n)`` drawing exactly like ``randrange(n)``.
+
+    This is CPython's ``Random._randbelow_with_getrandbits`` rejection
+    scheme (``k = n.bit_length()``, unchanged since well before 3.9)
+    with the ``randrange`` argument plumbing peeled off — the samplers'
+    single biggest cost.  Consuming the identical ``getrandbits`` calls
+    keeps every draw on the historical Mersenne-Twister stream, so
+    seeded campaigns and checkpoints are unchanged (pinned against
+    ``randrange`` itself in ``tests/reliability/test_word_table.py``).
+    """
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def class_cdf(classes: Tuple[FaultClass, ...]) -> List[float]:
     """Cumulative class weights, in the same float-accumulation order
     both kernels compare rolls against (cf. ``model._choose_domain``)."""
@@ -234,11 +259,14 @@ def draw_class(
     classes: Tuple[FaultClass, ...],
     cdf: List[float],
 ) -> FaultClass:
-    """One strike-class draw (always exactly one ``rng.random()``)."""
-    roll = rng.random() * cdf[-1]
-    for cls, bound in zip(classes, cdf):
-        if roll < bound:
-            return cls
+    """One strike-class draw (always exactly one ``rng.random()``).
+
+    The first class whose cumulative bound exceeds the roll — the same
+    ``roll < bound`` scan as ``model._choose_domain``, as one bisection.
+    """
+    index = bisect_right(cdf, rng.random() * cdf[-1])
+    if index < len(classes):
+        return classes[index]
     return classes[-1]  # pragma: no cover - float edge
 
 
@@ -284,28 +312,29 @@ def data_error_masks(
     * ``column``: bit offset, start word; the offset repeats in
       ``span_words`` consecutive words (wrapping).
     """
-    words = line_bytes // 8
-    if cls.kind == "single":
-        byte_idx = rng.randrange(line_bytes)
-        bit = rng.randrange(8)
-        return {byte_idx // 8: 1 << ((byte_idx % 8) * 8 + bit)}
-    if cls.kind == "word2":
-        byte_idx = rng.randrange(line_bytes)
-        bit = rng.randrange(8)
-        mask = 1 << ((byte_idx % 8) * 8 + bit)
-        mask ^= 1 << (rng.randrange(8) * 8 + rng.randrange(8))
+    getrandbits = rng.getrandbits
+    kind = cls.kind
+    if kind == "single" or kind == "word2":
+        byte_idx = randbelow(getrandbits, line_bytes.bit_length(), line_bytes)
+        mask = 1 << (byte_idx % 8 * 8 + randbelow(getrandbits, 4, 8))
+        if kind == "word2":
+            mask ^= 1 << (
+                randbelow(getrandbits, 4, 8) * 8
+                + randbelow(getrandbits, 4, 8)
+            )
         return {byte_idx // 8: mask}
-    if cls.kind == "burst":
+    if kind == "burst":
         total = line_bytes * 8
-        start = rng.randrange(total)
+        start = randbelow(getrandbits, total.bit_length(), total)
         masks: Dict[int, int] = {}
         for i in range(length):
             position = (start + i) % total
             word = position // 64
             masks[word] = masks.get(word, 0) | 1 << (position % 64)
         return masks
-    offset = rng.randrange(64)
-    start_word = rng.randrange(words)
+    words = line_bytes // 8
+    offset = randbelow(getrandbits, 7, 64)
+    start_word = randbelow(getrandbits, words.bit_length(), words)
     span = min(cls.span_words, words)
     return {(start_word + i) % words: 1 << offset for i in range(span)}
 
@@ -328,26 +357,31 @@ def check_error_masks(
     consecutive words; column strikes repeat one bit offset down
     ``span_words`` words of the chosen column.
     """
-    word = rng.randrange(words)
+    getrandbits = rng.getrandbits
+    word = randbelow(getrandbits, words.bit_length(), words)
     strike_ecc = rng.random() * (parity_bits + ecc_bits) < ecc_bits
     column = "ecc" if strike_ecc else "parity"
     col_bits = ecc_bits if strike_ecc else parity_bits
-    if cls.kind == "single":
-        mask = 1 << rng.randrange(col_bits) if col_bits > 1 else 1
+    k_col = col_bits.bit_length()
+    kind = cls.kind
+    if kind == "single":
+        mask = (
+            1 << randbelow(getrandbits, k_col, col_bits) if col_bits > 1 else 1
+        )
         return column, {word: mask}
-    if cls.kind == "word2":
+    if kind == "word2":
         if col_bits > 1:
-            mask = 1 << rng.randrange(col_bits)
-            mask ^= 1 << rng.randrange(col_bits)
+            mask = 1 << randbelow(getrandbits, k_col, col_bits)
+            mask ^= 1 << randbelow(getrandbits, k_col, col_bits)
             return column, {word: mask}
         # One check bit per word: the second upset bit of the strike
         # lands in the neighbouring word's column entry.
         return column, {word: 1, (word + 1) % words: 1}
-    if cls.kind == "burst":
+    if kind == "burst":
         total = words * col_bits
         start = word * col_bits
         if col_bits > 1:
-            start += rng.randrange(col_bits)
+            start += randbelow(getrandbits, k_col, col_bits)
         masks: Dict[int, int] = {}
         for i in range(length):
             position = (start + i) % total
@@ -356,7 +390,7 @@ def check_error_masks(
                 position % col_bits
             )
         return column, masks
-    offset = rng.randrange(col_bits) if col_bits > 1 else 0
+    offset = randbelow(getrandbits, k_col, col_bits) if col_bits > 1 else 0
     span = min(cls.span_words, words)
     return column, {
         (word + i) % words: 1 << offset for i in range(span)
@@ -375,5 +409,6 @@ __all__ = [
     "draw_class",
     "flips_for",
     "get_scenario",
+    "randbelow",
     "register_scenario",
 ]

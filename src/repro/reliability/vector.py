@@ -26,10 +26,13 @@ indexed by flip position(s):
   outcomes depend only on (state, multiplicity) or a tiny position
   predicate.
 
-Every table entry is produced by the *batched kernel's own* scalar
-classification helpers (``_secded_action`` / ``_finish``), so the
-deterministic part of this kernel is exact by construction — pinned by
-enumeration tests in ``tests/reliability/test_vector.py``.  What cannot
+Every data and check-column entry is one lookup in the *batched
+kernel's* per-word classifier (:class:`repro.reliability.kernel._KernelPlan`):
+the live recovery codec's ``check`` of the error pattern, reduced
+through the same 8-entry outcome table the batched trials use.  No
+decode logic is duplicated here, so the deterministic part of this
+kernel is exact by construction — pinned by enumeration tests against
+``LineProtection`` in ``tests/reliability/test_vector.py``.  What cannot
 be exact is the sampling: bulk drawing reorders the RNG stream, so
 vector-vs-batch agreement is *distributional*, enforced by a
 two-proportion z gate (:func:`repro.reliability.stopping.two_proportion_z`)
@@ -44,14 +47,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.core.policy import (
-    ProtectionDomain,
-    ProtectionPolicy,
-    RecoveryAction,
-)
-from repro.ecc.hamming import encode_word, syndrome_table_array
-from repro.ecc.parity import _parity64, byte_parity_array
-from repro.reliability.kernel import _finish, _plan_for, _secded_action
+from repro.core.policy import ProtectionPolicy
+from repro.reliability.kernel import CHECK_SHIFT, _plan_for
 from repro.reliability.model import (
     DOMAIN_ORDER,
     FaultModelConfig,
@@ -93,53 +90,6 @@ def require_numpy() -> None:
             "install the optional extra (pip install -e .[fast]) or use "
             "--kernel batch"
         )
-
-
-def _data_outcome_code(
-    recovery: ProtectionDomain,
-    dirty: bool,
-    err: int,
-    config: FaultModelConfig,
-    parity: int = None,
-    enc: int = None,
-) -> int:
-    """Scalar oracle for one data-array error pattern (word-relative).
-
-    ``parity``/``enc`` accept the pattern's precomputed overall parity
-    and syndrome (the plan builder gathers them from the ndarray table
-    views in bulk); left as ``None`` they fall back to the scalar
-    encode, so callers like the enumeration tests stay table-free.
-    """
-    if recovery is ProtectionDomain.PARITY:
-        if _parity64(err):
-            action = (
-                RecoveryAction.DATA_LOSS if dirty else RecoveryAction.REFETCHED
-            )
-        elif err == 0:
-            action = RecoveryAction.CLEAN_READ
-        else:
-            action = RecoveryAction.SILENT_CORRUPTION
-    else:
-        # SECDED over the struck codeword.  Linearity gives
-        # syndrome = encode(err) and overall parity = parity(err), so
-        # the batched kernel's classifier applies with check := 0.
-        if parity is None:
-            parity = _parity64(err)
-        if enc is None:
-            enc = encode_word(err)
-        action = _secded_action(parity, enc, 0, err)
-    return _OUTCOME_CODE[_finish(action, dirty, config)]
-
-
-def _check_outcome_code(
-    dirty: bool, check_err: int, config: FaultModelConfig
-) -> int:
-    """Scalar oracle for one SECDED-column error pattern."""
-    # syndrome = check_err & 0x7F and overall parity = parity(check_err)
-    # (parity(encode(w)) == parity(w) for every valid codeword), which
-    # is _secded_action with enc := 0 and the error in the check byte.
-    action = _secded_action(0, 0, check_err, 0)
-    return _OUTCOME_CODE[_finish(action, dirty, config)]
 
 
 class _VectorPlan:
@@ -189,49 +139,36 @@ class _VectorPlan:
         self.check_parity = np.zeros(2, dtype=np.uint8)
         self.tag1 = np.zeros(2, dtype=np.uint8)
         self.tag2 = np.zeros(2, dtype=np.uint8)
-        # Syndrome/parity of every 1- and 2-bit data error, gathered
-        # from the ndarray views of the encode tables: linearity makes
-        # the syndrome of (1<<p1)^(1<<p2) the XOR of two single-bit
-        # gathers (p1 == p2 cancels to the zero pattern).
-        bits = np.arange(64)
-        byte_value = (1 << (bits % 8)).astype(np.intp)
-        enc1 = syndrome_table_array()[bits // 8, byte_value]
-        par1 = byte_parity_array()[byte_value]
-        enc2 = enc1[:, None] ^ enc1[None, :]
-        par2 = par1[:, None] ^ par1[None, :]
+        flags = kernel_plan.flags
         for di, dirty in enumerate(states):
-            recovery = kernel_plan.recovery[dirty]
-            for p1 in range(64):
-                self.data1[di, p1] = _data_outcome_code(
-                    recovery, dirty, 1 << p1, config,
-                    parity=int(par1[p1]), enc=int(enc1[p1]),
-                )
-                for p2 in range(64):
-                    self.data2[di, p1, p2] = _data_outcome_code(
-                        recovery, dirty, (1 << p1) ^ (1 << p2), config,
-                        parity=int(par2[p1, p2]), enc=int(enc2[p1, p2]),
-                    )
-            for c1 in range(8):
-                self.check1[di, c1] = _check_outcome_code(
-                    dirty, 1 << c1, config
-                )
-                for c2 in range(8):
-                    self.check2[di, c1, c2] = _check_outcome_code(
-                        dirty, (1 << c1) ^ (1 << c2), config
-                    )
-            # A struck parity column: shadowed entirely when the line
-            # recovers through ECC, otherwise detected stale parity.
-            if recovery is ProtectionDomain.ECC:
-                parity_action = RecoveryAction.CLEAN_READ
-            else:
-                parity_action = (
-                    RecoveryAction.DATA_LOSS
-                    if dirty
-                    else RecoveryAction.REFETCHED
-                )
-            self.check_parity[di] = _OUTCOME_CODE[
-                _finish(parity_action, dirty, config)
+            # Every entry is one lookup in the batched kernel's per-word
+            # classifier: the live codec's decode of the error pattern
+            # (p1 == p2 cancels to the zero pattern), then its outcome
+            # table.  Entries left at 0 (masked) are strikes on a check
+            # column the recovery code never consults.
+            code_of = [
+                _OUTCOME_CODE[TrialOutcome(value)]
+                for value in kernel_plan.outcome_of[dirty]
             ]
+            self.data1[di] = [code_of[flags(dirty, 1 << p)] for p in range(64)]
+            self.data2[di] = [
+                [code_of[flags(dirty, (1 << p1) ^ (1 << p2))] for p2 in range(64)]
+                for p1 in range(64)
+            ]
+            if kernel_plan.recovery[dirty] == "ecc":
+                self.check1[di] = [
+                    code_of[flags(dirty, 1 << c << CHECK_SHIFT)]
+                    for c in range(8)
+                ]
+                self.check2[di] = [
+                    [
+                        code_of[flags(dirty, (1 << c1 ^ 1 << c2) << CHECK_SHIFT)]
+                        for c2 in range(8)
+                    ]
+                    for c1 in range(8)
+                ]
+            else:
+                self.check_parity[di] = code_of[flags(dirty, 1 << CHECK_SHIFT)]
             # Tag strikes (model._inject_tag + ProtectedTag.check): one
             # flip is parity-detected, two distinct flips alias silently.
             self.tag1[di] = _OUTCOME_CODE[

@@ -110,16 +110,6 @@ class TestLinePool:
     def test_contents_are_deterministic_across_instances(self):
         a, b = LinePool(), LinePool()
         assert a.payload == b.payload
-        assert a.parity == b.parity
-        assert a.ecc == b.ecc
-
-    def test_check_bytes_encode_the_pooled_payloads(self):
-        pool = LinePool(size=4)
-        codec = SecDedCodec()
-        for j in range(4 * pool.words_per_line):
-            word = int.from_bytes(pool.payload[j * 8 : j * 8 + 8], "little")
-            assert pool.parity[j] == _parity64(word)
-            assert pool.ecc[j] == codec.encode(word)
 
     def test_shared_is_memoised_per_shape(self):
         assert LinePool.shared() is LinePool.shared()

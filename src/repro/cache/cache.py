@@ -267,7 +267,7 @@ class SetAssociativeCache:
         stamp = self._stamp + 1
         self._stamp = stamp
         stats = self.stats
-        result = AccessResult(hit=False, is_write=is_write)
+        result = AccessResult(False, is_write)
 
         way = 0
         for line in ways:
@@ -299,6 +299,55 @@ class SetAssociativeCache:
             self._handle_write(ways[way], set_idx, way, cycle, result)
         return result
 
+    def access_hit(self, addr: int, is_write: bool, cycle: int) -> bool:
+        """:meth:`access` for a write-through level; returns only the hit flag.
+
+        A write-through line never turns dirty, so an access to such a
+        level never emits a write-back and its :class:`AccessResult`
+        carries nothing a caller needs beyond ``hit`` (``wrote_through``
+        is just ``is_write``).  This method applies exactly the state
+        change :meth:`access` applies there — stamp, LRU touch,
+        ``last_touch_cycle``, the counters, the no-allocate write miss
+        and the miss fill with its clean eviction — without building
+        the result or dispatching through the write-back hooks
+        (``_fill``, ``_evict_way``, ``_handle_write``).  The memory
+        hierarchy calls it for its write-through L1s on every
+        reference; ``tests/cache/test_access_hit.py`` holds it equal to
+        :meth:`access` state for state.  Only valid on a
+        ``WRITE_THROUGH`` level whose policy keeps the shared
+        ``on_access`` (every built-in policy does).
+        """
+        block = addr >> self._offset_bits
+        tag = block >> self._index_bits
+        ways = self.sets[block & self._index_mask]
+        stamp = self._stamp + 1
+        self._stamp = stamp
+        stats = self.stats
+        for line in ways:
+            if line.tag == tag and line.valid:
+                line.lru_stamp = stamp
+                line.last_touch_cycle = cycle
+                if is_write:
+                    stats.write_hits += 1
+                    stats.write_throughs += 1
+                else:
+                    stats.read_hits += 1
+                return True
+        if is_write:
+            stats.write_misses += 1
+            stats.write_throughs += 1
+            if not self.config.write_allocate:
+                return False
+        else:
+            stats.read_misses += 1
+        victim = ways[self.policy.choose_victim(ways)]
+        if victim.valid:
+            # Clean by construction: the eviction is a counter only.
+            stats.evictions += 1
+        victim.fill(tag, cycle, stamp)
+        stats.fills += 1
+        return False
+
     # -- internals / extension points ---------------------------------------
 
     def _fill(self, set_idx: int, tag: int, cycle: int, result: AccessResult) -> int:
@@ -310,7 +359,9 @@ class SetAssociativeCache:
             self._evict_way(set_idx, way, cycle, result, WritebackReason.REPLACEMENT)
         victim.fill(tag, cycle, self._stamp)
         self.stats.fills += 1
-        result.fill_addr = self.block_addr(set_idx, tag)
+        result.fill_addr = (
+            (tag << self._index_bits) | set_idx
+        ) << self._offset_bits
         return way
 
     def _evict_way(

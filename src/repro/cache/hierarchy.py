@@ -138,6 +138,15 @@ class MemoryHierarchy:
         l3: Optional[SetAssociativeCache] = None,
     ) -> None:
         self.config = config or HierarchyConfig()
+        for level, l1 in (("l1i", self.config.l1i), ("l1d", self.config.l1d)):
+            # The L1 entry points read only the hit flag
+            # (:meth:`SetAssociativeCache.access_hit`): a write-back L1
+            # would silently drop its dirty traffic.
+            if l1.write_policy is not WritePolicy.WRITE_THROUGH:
+                raise ValueError(
+                    f"{level} ({l1.name!r}) must be write-through, "
+                    f"got {l1.write_policy.value}"
+                )
         self.l1i = SetAssociativeCache(self.config.l1i)
         self.l1d = SetAssociativeCache(self.config.l1d)
         self.l2 = l2 if l2 is not None else SetAssociativeCache(self.config.l2)
@@ -215,7 +224,8 @@ class MemoryHierarchy:
     # -- reference entry points ---------------------------------------------
     #
     # Hot loop: every reference clamps the cycle to the monotonic clock
-    # inline, computes its block once, and runs background work only
+    # inline, computes its block once, asks the write-through L1 only
+    # for its hit flag (``access_hit``), and runs background work only
     # when a level has some due (``_next_background``).
 
     def ifetch(self, addr: int, cycle: int) -> int:
@@ -227,13 +237,13 @@ class MemoryHierarchy:
         self.stats.ifetches += 1
         if cycle >= self._next_background:
             self._advance_l2(cycle)
-        res = self.l1i.access(addr, False, cycle)
+        hit = self.l1i.access_hit(addr, False, cycle)
         block = addr >> self._block_shift
         pending = self.l1i_mshr.pending_ready(block, cycle)
         if pending is not None:
             # The block's fill is still in flight: wait for it.
             return self.l1i.config.hit_latency + (pending - cycle)
-        if res.hit:
+        if hit:
             return self.l1i.config.hit_latency
         below = self._l2_read(addr, cycle)
         latency = self.l1i.config.hit_latency + below
@@ -249,14 +259,14 @@ class MemoryHierarchy:
         self.stats.loads += 1
         if cycle >= self._next_background:
             self._advance_l2(cycle)
-        res = self.l1d.access(addr, False, cycle)
+        hit = self.l1d.access_hit(addr, False, cycle)
         block = addr >> self._block_shift
         pending = self.l1d_mshr.pending_ready(block, cycle)
         if pending is not None:
             # Merge with the in-flight miss (MSHR semantics): the line
             # looks resident functionally but its data arrives later.
             return self.l1d.config.hit_latency + (pending - cycle)
-        if res.hit:
+        if hit:
             return self.l1d.config.hit_latency
         if self.write_buffer.contains(addr):
             # Store-to-load forwarding out of the write buffer.
@@ -275,7 +285,7 @@ class MemoryHierarchy:
         self.stats.stores += 1
         if cycle >= self._next_background:
             self._advance_l2(cycle)
-        self.l1d.access(addr, True, cycle)
+        self.l1d.access_hit(addr, True, cycle)
         drained = self.write_buffer.push(addr)
         if drained is not None:
             self._l2_write(drained, cycle)

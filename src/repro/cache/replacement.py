@@ -35,13 +35,15 @@ class LruPolicy(ReplacementPolicy):
     """Evict the least-recently-used valid line."""
 
     def choose_victim(self, ways: List[CacheLine]) -> int:
-        idx = self._first_invalid(ways)
-        if idx >= 0:
-            return idx
+        # One pass: the first invalid way, else the first minimum stamp.
         victim, oldest = 0, ways[0].lru_stamp
-        for i in range(1, len(ways)):
-            if ways[i].lru_stamp < oldest:
-                victim, oldest = i, ways[i].lru_stamp
+        i = 0
+        for line in ways:
+            if not line.valid:
+                return i
+            if line.lru_stamp < oldest:
+                victim, oldest = i, line.lru_stamp
+            i += 1
         return victim
 
 

@@ -70,12 +70,9 @@ class WriteBuffer:
     def full(self) -> bool:
         return len(self._pending) >= self.entries
 
-    def block_of(self, addr: int) -> int:
-        return (addr >> self._offset_bits) << self._offset_bits
-
     def contains(self, addr: int) -> bool:
         """True when a store to ``addr``'s block is still buffered."""
-        return self.block_of(addr) in self._pending
+        return (addr >> self._offset_bits) << self._offset_bits in self._pending
 
     def push(self, addr: int) -> Optional[int]:
         """Buffer a store to ``addr``.
@@ -83,16 +80,17 @@ class WriteBuffer:
         Returns the block address drained to the L2 when the buffer had
         to make room, else None (the store coalesced or fit).
         """
-        block = self.block_of(addr)
-        if block in self._pending:
-            self._pending.move_to_end(block)
+        block = (addr >> self._offset_bits) << self._offset_bits
+        pending = self._pending
+        if block in pending:
+            pending.move_to_end(block)
             self.stats.coalesced += 1
             return None
         drained: Optional[int] = None
-        if self.full:
-            drained, _ = self._pending.popitem(last=False)
+        if len(pending) >= self.entries:
+            drained, _ = pending.popitem(last=False)
             self.stats.drains += 1
-        self._pending[block] = True
+        pending[block] = True
         self.stats.inserts += 1
         return drained
 

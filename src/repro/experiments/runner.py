@@ -324,7 +324,9 @@ def run_ref_stream(
 ) -> RefRunOutput:
     """Drive a hierarchy with an explicit reference stream.
 
-    The first ``config.warmup_refs`` references warm the caches with
+    Each reference is a :class:`~repro.workloads.generators.MemRef` (or
+    any ``(is_write, addr, gap)`` triple: the loop unpacks it).  The
+    first ``config.warmup_refs`` references warm the caches with
     statistics discarded; the next ``config.n_refs`` are measured.  A
     shorter stream (e.g. a user trace file) simply ends early — the
     measured counts are whatever it contained.
@@ -345,12 +347,12 @@ def run_ref_stream(
     cycle = 0
     load, store = hierarchy.load, hierarchy.store
     with profiler.phase("warmup") as rec:
-        for ref in itertools.islice(stream, config.warmup_refs):
-            cycle += 1 + ref.gap
-            if ref.is_write:
-                store(ref.addr, cycle)
+        for is_write, addr, gap in itertools.islice(stream, config.warmup_refs):
+            cycle += 1 + gap
+            if is_write:
+                store(addr, cycle)
             else:
-                load(ref.addr, cycle)
+                load(addr, cycle)
         rec.events += (
             hierarchy.stats.loads_stores + hierarchy.stats.ifetches
         )
@@ -358,12 +360,12 @@ def run_ref_stream(
     _reset_measurement(hierarchy, cycle)
     start_cycle = cycle
     with profiler.phase("measure") as rec:
-        for ref in itertools.islice(stream, config.n_refs):
-            cycle += 1 + ref.gap
-            if ref.is_write:
-                store(ref.addr, cycle)
+        for is_write, addr, gap in itertools.islice(stream, config.n_refs):
+            cycle += 1 + gap
+            if is_write:
+                store(addr, cycle)
             else:
-                load(ref.addr, cycle)
+                load(addr, cycle)
         # Stats were zeroed at the boundary, so this is the measured count.
         rec.events += (
             hierarchy.stats.loads_stores + hierarchy.stats.ifetches

@@ -24,11 +24,12 @@ property the nominal model pins.  Checkpoint digests fold the scenario
 name in (``nominal`` keeps the historical digest), so shards from
 different scenarios can never be spliced together.
 
-Every integer position is drawn through :func:`randbelow`, which
-consumes exactly the ``getrandbits`` calls ``rng.randrange(n)`` would
-(CPython's rejection scheme) without its argument plumbing: the
-samplers stay on the historical Mersenne-Twister stream while running
-both kernels faster.
+Every integer position is drawn through :func:`randbelow` (defined in
+the leaf module :mod:`repro.rng`, re-exported here), which consumes
+exactly the ``getrandbits`` calls ``rng.randrange(n)`` would (CPython's
+rejection scheme) without its argument plumbing: the samplers stay on
+the historical Mersenne-Twister stream while running both kernels
+faster.
 
 The masks returned are *error patterns*: ``{word index: 64-bit mask}``
 for data strikes, ``(column, {word index: column mask})`` for check
@@ -42,8 +43,10 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
+
+from repro.rng import randbelow
 
 #: Strike-shape kinds a :class:`FaultClass` may take.
 CLASS_KINDS = ("single", "word2", "burst", "column")
@@ -225,23 +228,6 @@ register_scenario(Scenario(
 
 
 # -- shared samplers (the cross-kernel determinism contract) ------------------
-
-
-def randbelow(getrandbits, k: int, n: int) -> int:
-    """Uniform int in ``[0, n)`` drawing exactly like ``randrange(n)``.
-
-    This is CPython's ``Random._randbelow_with_getrandbits`` rejection
-    scheme (``k = n.bit_length()``, unchanged since well before 3.9)
-    with the ``randrange`` argument plumbing peeled off — the samplers'
-    single biggest cost.  Consuming the identical ``getrandbits`` calls
-    keeps every draw on the historical Mersenne-Twister stream, so
-    seeded campaigns and checkpoints are unchanged (pinned against
-    ``randrange`` itself in ``tests/reliability/test_word_table.py``).
-    """
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
 
 
 def class_cdf(classes: Tuple[FaultClass, ...]) -> List[float]:

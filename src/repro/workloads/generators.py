@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import bisect
 import random
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Tuple
+
+from repro.rng import randbelow
 
 
 class MemRef(NamedTuple):
@@ -39,12 +41,30 @@ class MemRef(NamedTuple):
     gap: int
 
 
-def _gap(rng: random.Random, mean_gap: float) -> int:
-    """Draw the number of non-memory instructions before the next reference."""
+#: Builds a :class:`MemRef` from its field tuple in one C call: the
+#: generators' hot loops skip the namedtuple's Python-level ``__new__``
+#: (``_make`` does the same) and yield the identical object.
+_new = tuple.__new__
+
+
+def _no_gap(lambd: float) -> float:
+    return 0.0
+
+
+def _gap_draw(
+    rng: random.Random, mean_gap: float
+) -> Tuple[Callable[[float], float], float]:
+    """Bind one stream's gap draw: ``(draw, lambd)``.
+
+    A generator evaluates ``min(int(draw(lambd)), 64)`` per reference —
+    ``rng.expovariate(1 / mean_gap)`` capped at 64, geometric with the
+    requested mean (cheap and adequately bursty) — with the method
+    lookup and the division done once per stream.  A non-positive mean
+    gives 0 without touching ``rng``.
+    """
     if mean_gap <= 0:
-        return 0
-    # Geometric with the requested mean; cheap and adequately bursty.
-    return min(int(rng.expovariate(1.0 / mean_gap)), 64)
+        return _no_gap, 1.0
+    return rng.expovariate, 1.0 / mean_gap
 
 
 def streaming_stream(
@@ -66,12 +86,17 @@ def streaming_stream(
     writers = min(arrays, round(arrays * store_ratio))
     if store_ratio > 0:
         writers = max(1, writers)
-    bases = [base + i * (1 << 26) for i in range(arrays)]
+    targets = [
+        (idx >= arrays - writers, base + idx * (1 << 26))
+        for idx in range(arrays)
+    ]
+    draw, lambd = _gap_draw(rng, mean_gap)
     offset = 0
     while True:
-        for idx, a_base in enumerate(bases):
-            is_write = idx >= arrays - writers
-            yield MemRef(is_write, a_base + offset, _gap(rng, mean_gap))
+        for is_write, a_base in targets:
+            yield _new(MemRef, (
+                is_write, a_base + offset, min(int(draw(lambd)), 64)
+            ))
         offset += stride
         if offset >= array_bytes:
             offset = 0
@@ -98,10 +123,12 @@ def blocked_stream(
     n_tiles = max(1, ws_bytes // tile_bytes)
     refs_per_pass = max(1, tile_bytes // stride)
     tile_cursor = 0
+    draw, lambd = _gap_draw(rng, mean_gap)
+    uniform = rng.random
     while True:
         # Mostly march through the working set in order (so the whole
         # footprint is covered quickly) with occasional random revisits.
-        if rng.random() < 0.1:
+        if uniform() < 0.1:
             tile = rng.randrange(n_tiles)
         else:
             tile = tile_cursor
@@ -109,9 +136,11 @@ def blocked_stream(
         tile_base = base + tile * tile_bytes
         for pass_no in range(reuse):
             for i in range(refs_per_pass):
-                addr = tile_base + i * stride
-                is_write = pass_no > 0 and rng.random() < store_ratio
-                yield MemRef(is_write, addr, _gap(rng, mean_gap))
+                is_write = pass_no > 0 and uniform() < store_ratio
+                yield _new(MemRef, (
+                    is_write, tile_base + i * stride,
+                    min(int(draw(lambd)), 64),
+                ))
 
 
 def pointer_stream(
@@ -127,12 +156,15 @@ def pointer_stream(
     Each step reads one node; occasionally the node is also updated.
     """
     n_nodes = max(1, ws_bytes // node_bytes)
+    k_nodes = n_nodes.bit_length()
+    getrandbits, uniform = rng.getrandbits, rng.random
+    draw, lambd = _gap_draw(rng, mean_gap)
     while True:
-        node = rng.randrange(n_nodes)
-        addr = base + node * node_bytes
-        yield MemRef(False, addr, _gap(rng, mean_gap))
-        if rng.random() < store_ratio:
-            yield MemRef(True, addr + 8, _gap(rng, mean_gap))
+        # ``randbelow`` draws exactly what ``rng.randrange(n_nodes)`` would.
+        addr = base + randbelow(getrandbits, k_nodes, n_nodes) * node_bytes
+        yield _new(MemRef, (False, addr, min(int(draw(lambd)), 64)))
+        if uniform() < store_ratio:
+            yield _new(MemRef, (True, addr + 8, min(int(draw(lambd)), 64)))
 
 
 def zipf_stream(
@@ -171,7 +203,10 @@ def zipf_stream(
         np_rng = np.random.RandomState(rng.randrange(2**31))
 
         def _draw_picks():
-            return perm[np.searchsorted(cdf, np_rng.random_sample(batch))]
+            # ``tolist`` hands the loop plain ints, not numpy scalars.
+            return perm[
+                np.searchsorted(cdf, np_rng.random_sample(batch))
+            ].tolist()
 
     else:
         # Stdlib fallback (no [fast] extra): same popularity law via
@@ -197,12 +232,17 @@ def zipf_stream(
             ]
 
     slots_per_block = max(1, granule_bytes // 8)
+    # A read's offset, ``rng.randrange(0, granule_bytes, 8)``, is
+    # ``8 * randrange(n_slots)``; ``randbelow`` draws exactly that.
+    n_slots = (granule_bytes + 7) // 8
+    k_slots = n_slots.bit_length()
+    getrandbits, uniform = rng.getrandbits, rng.random
+    draw, lambd = _gap_draw(rng, mean_gap)
     alloc_slot = 0  # bump-allocator position, in 8-byte slots
     while True:
-        picks = _draw_picks()
-        for block in picks:
-            if rng.random() < store_ratio:
-                if rng.random() < fresh_write_fraction:
+        for block in _draw_picks():
+            if uniform() < store_ratio:
+                if uniform() < fresh_write_fraction:
                     # Write-once allocation: fill the working set slot by
                     # slot, so the writes within a block coalesce in the
                     # write buffer the way a real allocator's do.
@@ -210,12 +250,12 @@ def zipf_stream(
                     alloc_slot = (alloc_slot + 1) % (n * slots_per_block)
                     addr = base + target_block * granule_bytes + slot * 8
                 else:
-                    addr = base + int(block) * granule_bytes
-                yield MemRef(True, addr, _gap(rng, mean_gap))
+                    addr = base + block * granule_bytes
+                yield _new(MemRef, (True, addr, min(int(draw(lambd)), 64)))
             else:
                 addr = (
                     base
-                    + int(block) * granule_bytes
-                    + rng.randrange(0, granule_bytes, 8)
+                    + block * granule_bytes
+                    + 8 * randbelow(getrandbits, k_slots, n_slots)
                 )
-                yield MemRef(False, addr, _gap(rng, mean_gap))
+                yield _new(MemRef, (False, addr, min(int(draw(lambd)), 64)))
